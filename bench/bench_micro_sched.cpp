@@ -80,21 +80,14 @@ BM_ScarEvolutionary6x6(benchmark::State& state)
 BENCHMARK(BM_ScarEvolutionary6x6)->Unit(benchmark::kMillisecond);
 
 /**
- * Calibration anchor for scripts/check_bench_regression.py: MaestroLite
- * layer evaluation exercises no scheduler or cost-aggregation code, so
- * its time tracks machine speed, not this repo's hot-path work. Keep
- * it untouched by search optimizations.
+ * Calibration anchor for scripts/check_bench_regression.py: the frozen
+ * kernel of bench_util, which no repository change touches, so its
+ * time tracks machine speed, not this repo's hot-path work.
  */
 void
 BM_CalibrationGemm(benchmark::State& state)
 {
-    const MaestroLite model;
-    ChipletSpec spec;
-    spec.dataflow = Dataflow::NvdlaWS;
-    const Layer gemm = makeGemmLayer(0, "g", 128, 5120, 1280);
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(model.evalLayer(gemm, spec));
-    }
+    bench::runCalibrationGemm(state);
 }
 BENCHMARK(BM_CalibrationGemm);
 

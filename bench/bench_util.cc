@@ -1,7 +1,11 @@
 #include "bench_util.h"
 
+#include <algorithm>
+#include <cmath>
 #include <cstdlib>
 #include <filesystem>
+
+#include "common/units.h"
 
 namespace scar
 {
@@ -136,6 +140,59 @@ microBenchArgs(const std::string& name, int argc, char** argv)
         args.push_back(std::string("--benchmark_min_time=") + minTime);
     }
     return args;
+}
+
+LayerCost
+calibrationGemm(const Layer& layer, const ChipletSpec& spec)
+{
+    const auto ceilDiv = [](double a, double b) { return std::ceil(a / b); };
+    const double k = static_cast<double>(layer.dims.k);
+    const double c = static_cast<double>(layer.dims.c);
+    const double window = static_cast<double>(layer.dims.r) * layer.dims.s;
+    const double spatialOut =
+        static_cast<double>(layer.outY()) * layer.outX();
+    const double npes = spec.numPes;
+
+    const int ktMax = static_cast<int>(std::min<double>(k, npes));
+    double bestPasses = 0.0;
+    double bestTraffic = 0.0;
+    double bestKt = 0.0;
+    double bestCt = 0.0;
+    for (int kt = 1; kt <= ktMax; ++kt) {
+        const double ct = std::min(c, std::floor(npes / kt));
+        if (ct < 1.0)
+            break;
+        const double passes = ceilDiv(k, kt) * ceilDiv(c, ct);
+        const double traffic =
+            layer.inputBytes() * ceilDiv(k, kt) +
+            2.0 * layer.outputBytes() * (ceilDiv(c, ct) - 1.0);
+        if (bestKt == 0.0 || passes < bestPasses ||
+            (passes == bestPasses && traffic < bestTraffic)) {
+            bestPasses = passes;
+            bestTraffic = traffic;
+            bestKt = kt;
+            bestCt = ct;
+        }
+    }
+
+    const EnergyParams energy;
+    LayerCost cost;
+    cost.macs = layer.macs();
+    cost.computeCycles = bestPasses * window * spatialOut;
+    cost.l2AccessBytes =
+        layer.weightBytes() + layer.inputBytes() * ceilDiv(k, bestKt) +
+        2.0 * layer.outputBytes() *
+            std::max(0.0, ceilDiv(c, bestCt) - 1.0) +
+        layer.outputBytes();
+    cost.weightBytes = layer.weightBytes();
+    cost.inputBytes = layer.inputBytes();
+    cost.outputBytes = layer.outputBytes();
+    const double feedBw = std::min(spec.bwNocGBps, spec.bwMemGBps);
+    cost.streamCycles = cost.l2AccessBytes / gbpsToBytesPerCycle(feedBw);
+    cost.utilization = cost.macs / (cost.computeCycles * spec.numPes);
+    cost.intraEnergyNj = pjToNj(cost.macs * energy.macPj +
+                                cost.l2AccessBytes * energy.l2PjPerByte);
+    return cost;
 }
 
 int

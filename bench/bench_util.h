@@ -19,6 +19,7 @@
 
 #include "arch/mcm_templates.h"
 #include "baselines/standalone.h"
+#include "cost/maestro_lite.h"
 #include "eval/pareto.h"
 #include "eval/scenario_suite.h"
 #include "sched/scar.h"
@@ -85,6 +86,17 @@ std::string jsonPath(const std::string& name);
  */
 std::vector<std::string> microBenchArgs(const std::string& name,
                                         int argc, char** argv);
+
+/**
+ * Calibration kernel of the perf-smoke gates
+ * (scripts/check_bench_regression.py): the weight-stationary cost of
+ * one layer with an exhaustive scan over every K-tile, frozen here as
+ * a bench-local copy of the scan MaestroLite used before its
+ * block-stepped tile search. Repository optimizations never touch it,
+ * so its time tracks machine speed and normalizes the gates across
+ * hosts. Do not optimize it; a change here rescales every baseline.
+ */
+LayerCost calibrationGemm(const Layer& layer, const ChipletSpec& spec);
 
 /** Environment knob with a fallback for unset/empty variables — the
  *  bench-smoke CI job shrinks sweep sizes through these. */

@@ -31,6 +31,21 @@ namespace scar
 namespace bench
 {
 
+/**
+ * Body of every calibration benchmark (BM_MaestroLiteGemm/0,
+ * BM_CalibrationGemm, BM_ObsCalibrationGemm,
+ * BM_RuntimeCalibrationGemm): the frozen calibrationGemm kernel on a
+ * 128x5120x1280 GEMM on a default 4096-PE chiplet.
+ */
+inline void
+runCalibrationGemm(benchmark::State& state)
+{
+    const Layer gemm = makeGemmLayer(0, "g", 128, 5120, 1280);
+    const ChipletSpec spec;
+    for (auto _ : state)
+        benchmark::DoNotOptimize(calibrationGemm(gemm, spec));
+}
+
 inline int
 runMicroBench(const std::string& name, int argc, char** argv)
 {

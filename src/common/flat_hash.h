@@ -65,6 +65,21 @@ class FlatHashMap
 
     std::size_t size() const { return size_; }
 
+    /**
+     * Sizes the table so `n` entries fill at most half of it. Linear
+     * probing at the 7/8 growth threshold walks long runs on a miss;
+     * a map whose final size is known up front can avoid that.
+     */
+    void
+    reserve(std::size_t n)
+    {
+        std::size_t capacity = 16;
+        while (capacity < 2 * n)
+            capacity *= 2;
+        if (capacity > buckets_.size())
+            rehash(capacity);
+    }
+
     /** Pointer to the value for `key`, or nullptr when absent. */
     const Value*
     find(const Key& key) const

@@ -268,6 +268,27 @@ CostDb::CostDb(const Scenario& scenario, const Mcm& mcm, MaestroLite model,
                 mod, specs, l2Budget, options.fixedMiniBatch, model));
         }
     }
+
+    // Expected-cost rows (Eq. 1). No counters are attached yet, so
+    // building them counts no queries.
+    const int numModels = static_cast<int>(scenario.models.size());
+    expectedCycles_.resize(numModels);
+    expectedEnergyNj_.resize(numModels);
+    for (int m = 0; m < numModels; ++m) {
+        const int numLayers = scenario.models[m].numLayers();
+        expectedCycles_[m].assign(numLayers, 0.0);
+        expectedEnergyNj_[m].assign(numLayers, 0.0);
+        for (int l = 0; l < numLayers; ++l) {
+            for (Dataflow df : kAllDataflows) {
+                const double w = classWeight_[dataflowIndex(df)];
+                if (w > 0.0) {
+                    expectedCycles_[m][l] += w * layerCycles(m, l, df);
+                    expectedEnergyNj_[m][l] +=
+                        w * layerEnergyNj(m, l, df);
+                }
+            }
+        }
+    }
 }
 
 CostDb::TableStats
@@ -427,28 +448,40 @@ CostDb::layerEnergyNj(int model, int layer, Dataflow df) const
     return lc.intraEnergyNj + dramNj;
 }
 
+const std::vector<double>&
+CostDb::expectedCyclesRow(int model) const
+{
+    SCAR_ASSERT(model >= 0 &&
+                    model < static_cast<int>(expectedCycles_.size()),
+                "bad model index ", model);
+    return expectedCycles_[model];
+}
+
+const std::vector<double>&
+CostDb::expectedEnergyNjRow(int model) const
+{
+    SCAR_ASSERT(model >= 0 &&
+                    model < static_cast<int>(expectedEnergyNj_.size()),
+                "bad model index ", model);
+    return expectedEnergyNj_[model];
+}
+
 double
 CostDb::expectedLayerCycles(int model, int layer) const
 {
-    double expected = 0.0;
-    for (Dataflow df : kAllDataflows) {
-        const double w = classWeight_[dataflowIndex(df)];
-        if (w > 0.0)
-            expected += w * layerCycles(model, layer, df);
-    }
-    return expected;
+    const std::vector<double>& row = expectedCyclesRow(model);
+    SCAR_ASSERT(layer >= 0 && layer < static_cast<int>(row.size()),
+                "bad layer index ", layer, " for model ", model);
+    return row[layer];
 }
 
 double
 CostDb::expectedLayerEnergyNj(int model, int layer) const
 {
-    double expected = 0.0;
-    for (Dataflow df : kAllDataflows) {
-        const double w = classWeight_[dataflowIndex(df)];
-        if (w > 0.0)
-            expected += w * layerEnergyNj(model, layer, df);
-    }
-    return expected;
+    const std::vector<double>& row = expectedEnergyNjRow(model);
+    SCAR_ASSERT(layer >= 0 && layer < static_cast<int>(row.size()),
+                "bad layer index ", layer, " for model ", model);
+    return row[layer];
 }
 
 } // namespace scar

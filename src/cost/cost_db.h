@@ -174,6 +174,16 @@ class CostDb
     /** Expected per-sample layer energy (nJ) over dataflow classes. */
     double expectedLayerEnergyNj(int model, int layer) const;
 
+    /**
+     * One model's expectedLayerCycles, indexed by layer. The rows are
+     * computed once at construction, so search loops read a flat
+     * array instead of re-weighting the dataflow classes per layer.
+     */
+    const std::vector<double>& expectedCyclesRow(int model) const;
+
+    /** One model's expectedLayerEnergyNj, indexed by layer. */
+    const std::vector<double>& expectedEnergyNjRow(int model) const;
+
     /** The scenario this database was built for. */
     const Scenario& scenario() const { return scenario_; }
 
@@ -210,8 +220,10 @@ class CostDb
 
     /**
      * Attaches (or detaches, with nullptr) live query counters: range
-     * queries bump costDbRangeQueries, per-layer costings bump
-     * costDbLayerQueries. The disabled state costs one predicted
+     * queries bump costDbRangeQueries, per-dataflow layer costings
+     * (layerCycles, layerEnergyNj) bump costDbLayerQueries. Reads of
+     * the expected-cost rows are plain array reads and count as
+     * neither. The disabled state costs one predicted
      * branch per query. Attach/detach only while no solve is querying
      * the database (Scar::run does this for profiled solves).
      */
@@ -237,6 +249,11 @@ class CostDb
     // One immutable table set per model, possibly shared with other
     // CostDb instances through the process-wide cache.
     std::vector<std::shared_ptr<const ModelCostTables>> tables_;
+
+    // Expected-cost rows [model][layer]. They depend on this MCM's
+    // dataflow mix, so they live here, not in the shared tables.
+    std::vector<std::vector<double>> expectedCycles_;
+    std::vector<std::vector<double>> expectedEnergyNj_;
 };
 
 } // namespace scar

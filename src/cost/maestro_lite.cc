@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 
 #include "common/error.h"
 #include "common/units.h"
@@ -16,6 +17,28 @@ double
 ceilDiv(double a, double b)
 {
     return std::ceil(a / b);
+}
+
+/**
+ * First K-tile after the block that starts at `kt`. Within a block
+ * both ceil(k / kt) and floor(pes / kt) are constant, and the tile
+ * searches below depend on kt only through those two values, so only
+ * a block's first tile can win (ties keep the earliest tile). Each
+ * quotient takes O(sqrt(n)) distinct values, so stepping block by
+ * block visits O(sqrt(k) + sqrt(pes)) tiles instead of min(k, pes).
+ */
+std::int64_t
+nextTileBlock(std::int64_t kt, std::int64_t k, std::int64_t pes)
+{
+    // Last tile with the same floor(pes / kt).
+    std::int64_t last = pes / (pes / kt);
+    // Last tile with the same ceil(k / kt) = q: the largest t with
+    // k <= q * t, i.e. t < k / (q - 1); unbounded when q == 1. The
+    // loops call this only with 1 <= kt <= min(k, pes).
+    const std::int64_t q = (k - 1) / kt + 1;
+    if (q > 1)
+        last = std::min(last, (k - 1) / (q - 1));
+    return last + 1;
 }
 
 } // namespace
@@ -65,11 +88,12 @@ MaestroLite::evalRowStationary(const Layer& layer,
     // samples contribute extra rows. The K-tile is searched as in the
     // weight-stationary case; rows take the remaining PEs.
     const double rows = static_cast<double>(layer.outY()) * nb;
-    const int ktMax = static_cast<int>(std::min<double>(k, npes));
+    const std::int64_t ktMax = std::min<std::int64_t>(d.k, spec.numPes);
     double bestPasses = 0.0;
     double bestKt = 0.0;
     double bestYt = 0.0;
-    for (int kt = 1; kt <= ktMax; ++kt) {
+    for (std::int64_t kt = 1; kt <= ktMax;
+         kt = nextTileBlock(kt, d.k, spec.numPes)) {
         const double yt = std::min(rows, std::floor(npes / kt));
         if (yt < 1.0)
             break;
@@ -118,19 +142,22 @@ MaestroLite::evalWeightStationary(const Layer& layer,
     // Cost = (#K passes) * (#C passes) * R*S*OY*OX cycles per sample;
     // ties break toward the tiling with the least L2 traffic (input
     // re-streams per K pass, partial-sum spills per extra C pass).
-    const int ktMax = static_cast<int>(std::min<double>(k, npes));
+    const double inputBytes = layer.inputBytes();
+    const double outputBytes = layer.outputBytes();
+    const std::int64_t ktMax = std::min<std::int64_t>(d.k, spec.numPes);
     double bestPasses = 0.0;
     double bestTraffic = 0.0;
     double bestKt = 0.0;
     double bestCt = 0.0;
-    for (int kt = 1; kt <= ktMax; ++kt) {
+    for (std::int64_t kt = 1; kt <= ktMax;
+         kt = nextTileBlock(kt, d.k, spec.numPes)) {
         const double ct = std::min(c, std::floor(npes / kt));
         if (ct < 1.0)
             break;
         const double passes = ceilDiv(k, kt) * ceilDiv(c, ct);
         const double traffic =
-            layer.inputBytes() * ceilDiv(k, kt) +
-            2.0 * layer.outputBytes() * (ceilDiv(c, ct) - 1.0);
+            inputBytes * ceilDiv(k, kt) +
+            2.0 * outputBytes * (ceilDiv(c, ct) - 1.0);
         if (bestKt == 0.0 || passes < bestPasses ||
             (passes == bestPasses && traffic < bestTraffic)) {
             bestPasses = passes;
@@ -149,13 +176,13 @@ MaestroLite::evalWeightStationary(const Layer& layer,
     const double kPasses = ceilDiv(k, bestKt);
     const double cPasses = ceilDiv(c, bestCt);
     const double inputReads = layer.type == OpType::DepthwiseConv
-                                  ? layer.inputBytes()
-                                  : layer.inputBytes() * kPasses;
+                                  ? inputBytes
+                                  : inputBytes * kPasses;
     const double psumTraffic =
-        2.0 * layer.outputBytes() * std::max(0.0, cPasses - 1.0);
+        2.0 * outputBytes * std::max(0.0, cPasses - 1.0);
     // Weights are fetched once per mini-batch: amortized per sample.
     cost.l2AccessBytes = layer.weightBytes() / nb + inputReads +
-                         psumTraffic + layer.outputBytes();
+                         psumTraffic + outputBytes;
     finishCost(layer, spec, cost);
     return cost;
 }

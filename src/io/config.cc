@@ -1,9 +1,14 @@
 #include "io/config.h"
 
+#include <charconv>
+#include <cstdint>
 #include <fstream>
 #include <functional>
+#include <limits>
 #include <map>
 #include <sstream>
+#include <system_error>
+#include <type_traits>
 #include <vector>
 
 #include "arch/mcm_templates.h"
@@ -17,6 +22,33 @@ namespace io
 
 namespace
 {
+
+/**
+ * Parses a whole token as an integer of type T. A token with anything
+ * but an optional '-' and digits, or whose value does not fit T, is a
+ * fatal error naming the line and what the token was for.
+ */
+template <typename T>
+T
+parseInteger(const std::string& token, int line, const std::string& what)
+{
+    std::int64_t value = 0;
+    const char* const first = token.data();
+    const char* const last = first + token.size();
+    const auto [end, ec] = std::from_chars(first, last, value);
+    if (ec == std::errc::invalid_argument || end != last) {
+        fatal("line ", line, ": ", what, " is not an integer: '", token,
+              "'");
+    }
+    if (ec == std::errc::result_out_of_range ||
+        value < std::numeric_limits<T>::min() ||
+        value > std::numeric_limits<T>::max()) {
+        fatal("line ", line, ": ", what, " is out of range [",
+              std::numeric_limits<T>::min(), ", ",
+              std::numeric_limits<T>::max(), "]: ", token);
+    }
+    return static_cast<T>(value);
+}
 
 /** A parsed line: the keyword plus positional and key=value tokens. */
 struct ConfigLine
@@ -37,22 +69,29 @@ struct ConfigLine
         return it->second;
     }
 
-    std::int64_t
+    template <typename T = std::int64_t>
+    T
     num(const std::string& key) const
     {
-        const std::string value = str(key);
-        try {
-            return std::stoll(value);
-        } catch (const std::exception&) {
-            fatal("line ", number, ": attribute '", key,
-                  "' is not a number: ", value);
-        }
+        return parseInteger<T>(str(key), number,
+                               "attribute '" + key + "'");
     }
 
-    std::int64_t
-    numOr(const std::string& key, std::int64_t fallback) const
+    // The fallback's type is not deduced (common_type_t), so T stays
+    // int64 unless named: numOr("stride", 1) parses an int64.
+    template <typename T = std::int64_t>
+    T
+    numOr(const std::string& key, std::common_type_t<T> fallback) const
     {
-        return has(key) ? num(key) : fallback;
+        return has(key) ? num<T>(key) : fallback;
+    }
+
+    /** The i-th positional token as an integer of type T. */
+    template <typename T>
+    T
+    positionalNum(std::size_t i, const std::string& what) const
+    {
+        return parseInteger<T>(positional[i], number, what);
     }
 };
 
@@ -184,8 +223,7 @@ parseScenario(std::istream& in)
             SCAR_REQUIRE(!line.positional.empty(), "line ", number,
                          ": model needs a kind");
             const std::string kind = line.positional.front();
-            const int batch =
-                static_cast<int>(line.numOr("batch", 1));
+            const int batch = line.numOr<int>("batch", 1);
             if (kind == "custom") {
                 Model model;
                 model.name = line.has("name") ? line.str("name")
@@ -252,12 +290,12 @@ parseMcm(std::istream& in)
         } else if (line.keyword == "mesh") {
             SCAR_REQUIRE(line.positional.size() == 2, "line ", number,
                          ": mesh needs width and height");
-            meshW = std::stoi(line.positional[0]);
-            meshH = std::stoi(line.positional[1]);
+            meshW = line.positionalNum<int>(0, "mesh width");
+            meshH = line.positionalNum<int>(1, "mesh height");
         } else if (line.keyword == "pes") {
             SCAR_REQUIRE(!line.positional.empty(), "line ", number,
                          ": pes needs a count");
-            pes = std::stoi(line.positional.front());
+            pes = line.positionalNum<int>(0, "pes");
         } else if (line.keyword == "topology") {
             SCAR_REQUIRE(!line.positional.empty(), "line ", number,
                          ": topology needs a kind (mesh, torus, "
@@ -271,16 +309,19 @@ parseMcm(std::istream& in)
         } else if (line.keyword == "express") {
             SCAR_REQUIRE(line.positional.size() == 2, "line ", number,
                          ": express needs two chiplet ids");
-            expressLinks.emplace_back(std::stoi(line.positional[0]),
-                                      std::stoi(line.positional[1]));
+            expressLinks.emplace_back(
+                line.positionalNum<int>(0, "express chiplet id"),
+                line.positionalNum<int>(1, "express chiplet id"));
         } else if (line.keyword == "broadcast") {
             SCAR_REQUIRE(!line.positional.empty(), "line ", number,
                          ": broadcast needs 'all' or member ids");
             if (line.positional.front() == "all") {
                 broadcastAll = true;
             } else {
-                for (const std::string& token : line.positional)
-                    broadcastMembers.push_back(std::stoi(token));
+                for (std::size_t i = 0; i < line.positional.size(); ++i) {
+                    broadcastMembers.push_back(line.positionalNum<int>(
+                        i, "broadcast member id"));
+                }
             }
         } else if (line.keyword == "map") {
             // Row-major dataflow map; '/' separates mesh rows.

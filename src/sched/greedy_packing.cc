@@ -10,11 +10,10 @@ namespace scar
 double
 expectedModelCycles(const CostDb& db, int model)
 {
-    const Model& m = db.scenario().models[model];
     double total = 0.0;
-    for (int l = 0; l < m.numLayers(); ++l)
-        total += db.expectedLayerCycles(model, l);
-    return total * m.batch;
+    for (const double cycles : db.expectedCyclesRow(model))
+        total += cycles;
+    return total * db.scenario().models[model].batch;
 }
 
 namespace
@@ -44,13 +43,13 @@ packGreedy(const CostDb& db, int nsplits)
 
     for (int m = 0; m < numModels; ++m) {
         const Model& model = sc.models[m];
+        const std::vector<double>& expectedRow = db.expectedCyclesRow(m);
         int winIdx = 0;
         double usedCycles = 0.0;
         int rangeFirst = 0;
 
         for (int l = 0; l < model.numLayers(); ++l) {
-            const double expected =
-                db.expectedLayerCycles(m, l) * model.batch;
+            const double expected = expectedRow[l] * model.batch;
             while (true) {
                 const bool unbounded = winIdx >= numWindows - 1;
                 const double slack =

@@ -21,11 +21,13 @@ expectedWindowMetric(const WindowAssignment& wa, const CostDb& db,
     if (range.empty())
         return 0.0;
     const int batch = db.scenario().models[model].batch;
+    const std::vector<double>& cyclesRow = db.expectedCyclesRow(model);
+    const std::vector<double>& energyRow = db.expectedEnergyNjRow(model);
     double cycles = 0.0;
     double energyNj = 0.0;
     for (int l = range.first; l <= range.last; ++l) {
-        cycles += db.expectedLayerCycles(model, l) * batch;
-        energyNj += db.expectedLayerEnergyNj(model, l) * batch;
+        cycles += cyclesRow[l] * batch;
+        energyNj += energyRow[l] * batch;
     }
     switch (target) {
       case OptTarget::Latency: return cycles;

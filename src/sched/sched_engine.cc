@@ -75,8 +75,10 @@ WindowScheduler::soloCost(int model, const Segmentation& seg,
 {
     SCAR_ASSERT(path.size() == seg.segments.size(),
                 "path length != segment count");
-    std::vector<int> key;
-    key.reserve(seg.segments.size() + path.size() + 3);
+    // Probe with a per-thread scratch key: only a miss copies it
+    // into the cache, so a hit allocates nothing.
+    thread_local std::vector<int> key;
+    key.clear();
     key.push_back(model);
     key.push_back(entry);
     for (const LayerRange& r : seg.segments)
@@ -109,7 +111,7 @@ WindowScheduler::soloCost(int model, const Segmentation& seg,
     const SoloWindowCost cost = soloEval_.evaluateSolo(placement);
     const std::pair<double, double> result{cost.latencyCycles,
                                            cost.energyNj};
-    cache.insert(std::move(key), result);
+    cache.insert(key, result);
     return result;
 }
 

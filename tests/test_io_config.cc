@@ -88,6 +88,81 @@ TEST(IoScenario, RejectsNonNumericAttribute)
     EXPECT_THROW(io::parseScenario(in), FatalError);
 }
 
+/** Runs `parse` and returns the FatalError message ("" if none). */
+template <typename Parse>
+std::string
+fatalMessage(Parse parse)
+{
+    try {
+        parse();
+    } catch (const FatalError& e) {
+        return e.what();
+    }
+    return "";
+}
+
+TEST(IoStrictIntegers, RejectsTrailingJunkInAttribute)
+{
+    // std::stoll parsed the "8" prefix and accepted batch=8x as 8.
+    std::istringstream in("scenario s\nmodel eyeCod batch=8x\n");
+    const std::string msg = fatalMessage([&] { io::parseScenario(in); });
+    EXPECT_NE(msg.find("line 2"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("'batch'"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("not an integer"), std::string::npos) << msg;
+}
+
+TEST(IoStrictIntegers, RejectsBatchOutsideIntRange)
+{
+    // int64 parsed, then silently narrowed to int.
+    std::istringstream in(
+        "scenario s\n\nmodel eyeCod batch=99999999999\n");
+    const std::string msg = fatalMessage([&] { io::parseScenario(in); });
+    EXPECT_NE(msg.find("line 3"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("out of range"), std::string::npos) << msg;
+}
+
+TEST(IoStrictIntegers, RejectsOverflowingLayerDimension)
+{
+    std::istringstream in("scenario s\nmodel custom\n"
+                          "gemm m=99999999999999999999 n=1 k=1\n");
+    const std::string msg = fatalMessage([&] { io::parseScenario(in); });
+    EXPECT_NE(msg.find("line 3"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("out of range"), std::string::npos) << msg;
+}
+
+TEST(IoStrictIntegers, NonNumericMeshIsFatalNotAnAbort)
+{
+    // std::stoi threw an uncaught std::invalid_argument (exit 134).
+    std::istringstream in("mcm m\nmesh a b\nmap NVD\n");
+    const std::string msg = fatalMessage([&] { io::parseMcm(in); });
+    EXPECT_NE(msg.find("line 2"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("mesh width"), std::string::npos) << msg;
+}
+
+TEST(IoStrictIntegers, RejectsJunkInMcmCounts)
+{
+    for (const char* text :
+         {"mcm m\ntemplate hetSides3x3\npes 256k\n",
+          "mcm m\nmesh 3 3x\n",
+          "mcm m\ntopology express\nexpress 0 +\n",
+          "mcm m\ntopology broadcast\nbroadcast 0 4.5\n"}) {
+        std::istringstream in(text);
+        EXPECT_THROW(io::parseMcm(in), FatalError) << text;
+    }
+}
+
+TEST(IoStrictIntegers, AcceptsWholeIntegerTokens)
+{
+    std::istringstream in("scenario s\nmodel custom batch=3\n"
+                          "conv k=64 c=3 r=7 s=7 y=224 x=224 stride=2\n"
+                          "gemm m=128 n=1024 k=512\n");
+    const Scenario sc = io::parseScenario(in);
+    ASSERT_EQ(sc.models.size(), 1u);
+    EXPECT_EQ(sc.models[0].batch, 3);
+    EXPECT_EQ(sc.models[0].layers[0].dims.strideY, 2);
+    EXPECT_EQ(sc.models[0].layers[1].dims.k, 1024);
+}
+
 TEST(IoMcm, ParsesTemplateReference)
 {
     std::istringstream in("mcm pkg\ntemplate hetSides3x3\npes 256\n");

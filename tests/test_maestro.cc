@@ -11,6 +11,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+
+#include "common/rng.h"
+#include "common/units.h"
 #include "cost/maestro_lite.h"
 #include "workload/model_zoo.h"
 
@@ -207,6 +212,204 @@ TEST(MaestroLite, FootprintsMatchLayer)
     EXPECT_DOUBLE_EQ(cost.weightBytes, gemm.weightBytes());
     EXPECT_DOUBLE_EQ(cost.inputBytes, gemm.inputBytes());
     EXPECT_DOUBLE_EQ(cost.outputBytes, gemm.outputBytes());
+}
+
+// ---- tile search vs an exhaustive reference --------------------------
+//
+// evalWeightStationary / evalRowStationary step over blocks of K-tiles
+// with constant ceil(K / kt) and floor(PEs / kt). The references below
+// scan every kt = 1..min(K, PEs) with the same expressions; the two
+// must agree on every LayerCost field, bit for bit.
+
+double
+refCeilDiv(double a, double b)
+{
+    return std::ceil(a / b);
+}
+
+void
+refFinish(const Layer& layer, const ChipletSpec& spec, LayerCost& cost)
+{
+    const EnergyParams energy;
+    cost.weightBytes = layer.weightBytes();
+    cost.inputBytes = layer.inputBytes();
+    cost.outputBytes = layer.outputBytes();
+    const double feedBw = std::min(spec.bwNocGBps, spec.bwMemGBps);
+    cost.streamCycles = cost.l2AccessBytes / gbpsToBytesPerCycle(feedBw);
+    cost.utilization = cost.macs / (cost.computeCycles * spec.numPes);
+    cost.intraEnergyNj = pjToNj(cost.macs * energy.macPj +
+                                cost.l2AccessBytes * energy.l2PjPerByte);
+}
+
+LayerCost
+refWeightStationary(const Layer& layer, const ChipletSpec& spec, int nb)
+{
+    const auto& d = layer.dims;
+    const double k = static_cast<double>(d.k);
+    const double c = layer.type == OpType::DepthwiseConv
+                         ? 1.0
+                         : static_cast<double>(d.c);
+    const double window = static_cast<double>(d.r) * d.s;
+    const double spatialOut =
+        static_cast<double>(layer.outY()) * layer.outX();
+    const double npes = spec.numPes;
+    const int ktMax = static_cast<int>(std::min<double>(k, npes));
+    double bestPasses = 0.0;
+    double bestTraffic = 0.0;
+    double bestKt = 0.0;
+    double bestCt = 0.0;
+    for (int kt = 1; kt <= ktMax; ++kt) {
+        const double ct = std::min(c, std::floor(npes / kt));
+        if (ct < 1.0)
+            break;
+        const double passes = refCeilDiv(k, kt) * refCeilDiv(c, ct);
+        const double traffic =
+            layer.inputBytes() * refCeilDiv(k, kt) +
+            2.0 * layer.outputBytes() * (refCeilDiv(c, ct) - 1.0);
+        if (bestKt == 0.0 || passes < bestPasses ||
+            (passes == bestPasses && traffic < bestTraffic)) {
+            bestPasses = passes;
+            bestTraffic = traffic;
+            bestKt = kt;
+            bestCt = ct;
+        }
+    }
+    LayerCost cost;
+    cost.macs = layer.macs();
+    cost.computeCycles = bestPasses * window * spatialOut;
+    const double kPasses = refCeilDiv(k, bestKt);
+    const double cPasses = refCeilDiv(c, bestCt);
+    const double inputReads = layer.type == OpType::DepthwiseConv
+                                  ? layer.inputBytes()
+                                  : layer.inputBytes() * kPasses;
+    const double psumTraffic =
+        2.0 * layer.outputBytes() * std::max(0.0, cPasses - 1.0);
+    cost.l2AccessBytes = layer.weightBytes() / nb + inputReads +
+                         psumTraffic + layer.outputBytes();
+    refFinish(layer, spec, cost);
+    return cost;
+}
+
+LayerCost
+refRowStationary(const Layer& layer, const ChipletSpec& spec, int nb)
+{
+    const auto& d = layer.dims;
+    const double k = static_cast<double>(d.k);
+    const double c = layer.type == OpType::DepthwiseConv
+                         ? 1.0
+                         : static_cast<double>(d.c);
+    const double window = static_cast<double>(d.r) * d.s;
+    const double outX = static_cast<double>(layer.outX());
+    const double npes = spec.numPes;
+    const double rows = static_cast<double>(layer.outY()) * nb;
+    const int ktMax = static_cast<int>(std::min<double>(k, npes));
+    double bestPasses = 0.0;
+    double bestKt = 0.0;
+    double bestYt = 0.0;
+    for (int kt = 1; kt <= ktMax; ++kt) {
+        const double yt = std::min(rows, std::floor(npes / kt));
+        if (yt < 1.0)
+            break;
+        const double passes = refCeilDiv(k, kt) * refCeilDiv(rows, yt);
+        if (bestKt == 0.0 || passes < bestPasses) {
+            bestPasses = passes;
+            bestKt = kt;
+            bestYt = yt;
+        }
+    }
+    LayerCost cost;
+    cost.macs = layer.macs();
+    cost.computeCycles = bestPasses * c * window * outX / nb;
+    const double kPasses = refCeilDiv(k, bestKt);
+    const double rowPasses = refCeilDiv(rows, bestYt);
+    cost.l2AccessBytes = layer.weightBytes() * rowPasses / nb +
+                         layer.inputBytes() * kPasses +
+                         layer.outputBytes();
+    refFinish(layer, spec, cost);
+    return cost;
+}
+
+void
+expectSameCost(const LayerCost& got, const LayerCost& want)
+{
+    EXPECT_EQ(got.macs, want.macs);
+    EXPECT_EQ(got.computeCycles, want.computeCycles);
+    EXPECT_EQ(got.streamCycles, want.streamCycles);
+    EXPECT_EQ(got.utilization, want.utilization);
+    EXPECT_EQ(got.l2AccessBytes, want.l2AccessBytes);
+    EXPECT_EQ(got.intraEnergyNj, want.intraEnergyNj);
+    EXPECT_EQ(got.weightBytes, want.weightBytes);
+    EXPECT_EQ(got.inputBytes, want.inputBytes);
+    EXPECT_EQ(got.outputBytes, want.outputBytes);
+}
+
+TEST(MaestroLiteTileSearch, BlockSteppingMatchesExhaustiveScan)
+{
+    // 1, primes, non-powers of two, and the datacenter 4096.
+    const int peCounts[] = {1, 2, 3, 7, 97, 100, 256, 251, 768, 1000,
+                            1009, 3000, 4093, 4096};
+    const MaestroLite model;
+    Rng rng(20241);
+    int checked = 0;
+    for (int pes : peCounts) {
+        for (int trial = 0; trial < 40; ++trial) {
+            Layer layer;
+            layer.type = trial % 3 == 0   ? OpType::DepthwiseConv
+                         : trial % 3 == 1 ? OpType::Conv2D
+                                          : OpType::Gemm;
+            const std::int64_t k = rng.uniformInt(1, 6000);
+            const std::int64_t c = rng.uniformInt(1, 3000);
+            const std::int64_t window = rng.uniformInt(0, 2) * 2 + 1;
+            const std::int64_t y = rng.uniformInt(1, 300);
+            const std::int64_t x = rng.uniformInt(1, 64);
+            const std::int64_t stride = rng.uniformInt(1, 2);
+            layer.dims = LayerDims{
+                k, layer.type == OpType::DepthwiseConv ? k : c,
+                window, window, y, x, stride, stride};
+            const int nb = rng.uniformInt(1, 64);
+            SCOPED_TRACE(testing::Message()
+                         << "pes " << pes << " k " << k << " c " << c
+                         << " y " << y << " nb " << nb << " type "
+                         << static_cast<int>(layer.type));
+            expectSameCost(
+                model.evalLayer(layer, spec(Dataflow::NvdlaWS, pes), nb),
+                refWeightStationary(layer, spec(Dataflow::NvdlaWS, pes),
+                                    nb));
+            expectSameCost(
+                model.evalLayer(layer, spec(Dataflow::EyerissRS, pes), nb),
+                refRowStationary(layer, spec(Dataflow::EyerissRS, pes),
+                                 nb));
+            ++checked;
+        }
+    }
+    EXPECT_EQ(checked, 14 * 40);
+}
+
+TEST(MaestroLiteTileSearch, ZooLayersMatchExhaustiveScan)
+{
+    const MaestroLite model;
+    for (const Model& m : {zoo::resNet50(4), zoo::bertBase(2),
+                           zoo::d2go(1)}) {
+        for (const Layer& layer : m.layers) {
+            if (layer.type == OpType::Pool ||
+                layer.type == OpType::Elementwise)
+                continue;
+            for (int pes : {256, 4096}) {
+                for (int nb : {1, 3}) {
+                    expectSameCost(
+                        model.evalLayer(layer,
+                                        spec(Dataflow::NvdlaWS, pes), nb),
+                        refWeightStationary(
+                            layer, spec(Dataflow::NvdlaWS, pes), nb));
+                    expectSameCost(
+                        model.evalLayer(layer,
+                                        spec(Dataflow::EyerissRS, pes), nb),
+                        refRowStationary(
+                            layer, spec(Dataflow::EyerissRS, pes), nb));
+                }
+            }
+        }
+    }
 }
 
 } // namespace
