@@ -2,23 +2,18 @@
  * @file
  * Planet-scale cluster sweep: one serving fleet of hundreds of MCM
  * shards replaying a Poisson stream of ~a million requests, swept
- * over engine threads (the parallel epoch engine draining window
- * boundaries between deterministic barriers) and over fleet sizes
- * (the hierarchical cluster -> pod -> shard routing index, O(log N)
- * candidates per dispatch).
+ * over fleet sizes (the hierarchical cluster -> pod -> shard routing
+ * index, O(log N) candidates per dispatch).
  *
- * Three claims are measured:
- *  - Engine scaling: wall time of the identical virtual replay as
- *    engineThreads grows 1 -> 8. The virtual columns cannot move —
- *    the epoch engine is byte-deterministic — so the Speedup column
- *    isolates the host-side win.
+ * Two claims are measured:
  *  - Routing scaling: wall time per request as the shard count grows
  *    at a fixed saturating load per shard. The indexed BestFit path
  *    scores O(log N) candidates per dispatch, so the per-request
  *    cost stays near-flat where the flat O(N) scan would grow
  *    linearly.
- *  - Determinism: the serial (engineThreads = 1) and widest parallel
- *    runs render their full ServingReport to
+ *  - Determinism: the full fleet replays the identical stream on a
+ *    1-thread ("serial") and an 8-thread ("parallel") solver pool and
+ *    renders both ServingReports to
  *    bench_results/cluster_scaling_report_{serial,parallel}.txt; the
  *    bench exits nonzero if the two differ by a byte, and CI cmp's
  *    the dumps again.
@@ -32,7 +27,8 @@
  * SCAR_BENCH_CLUSTER_MODE selects the workload the sweep replays:
  *  - "arvr" (default): the 8-model AR/VR catalog above.
  *  - "llm": a continuous-batching chat catalog (llmPoissonTrace) —
- *    the epoch engine's join/release bound terms on the hot path.
+ *    the quiet-interval drain's join/release bound terms on the hot
+ *    path.
  *  - "preempt": the AR/VR catalog with tight SLOs and boundary
  *    preemption on — the urgency bound term on the hot path.
  * Non-default modes suffix the CSV and the report dumps (e.g.
@@ -41,10 +37,10 @@
  *
  * Raw series: bench_results/cluster_scaling*.csv (columns documented
  * in bench/README.md). Every row carries the host's hardware
- * concurrency and a single-core marker: the Speedup column measures
- * host-side parallelism, so rows recorded on a 1-core host tie
- * serial by construction and must be read as determinism (not
- * performance) evidence.
+ * concurrency and a single-core marker: the parallel row's Speedup
+ * measures solver parallelism, so on a 1-core host it ties serial by
+ * construction and must be read as determinism (not performance)
+ * evidence.
  */
 
 #include <chrono>
@@ -103,8 +99,8 @@ baseCatalog()
 
 /** Chat-style continuous-batching catalog for the "llm" mode: one
  *  small decoder whose per-request cost is a prefill plus a handful
- *  of decode rounds, so the join/release epoch bound terms sit on
- *  the hot path of every shard. */
+ *  of decode rounds, so the join/release bound terms sit on the hot
+ *  path of every shard. */
 std::vector<ServedModel>
 llmBaseCatalog()
 {
@@ -179,12 +175,11 @@ CellResult
 runCell(const ClusterMode& mode,
         const std::vector<ServedModel>& catalog,
         const std::vector<Request>& trace, int shards,
-        int engineThreads, ThreadPool& servingPool)
+        ThreadPool& servingPool)
 {
     FleetOptions options;
     options.shards = shards;
     options.routing = RoutingPolicy::BestFit;
-    options.engineThreads = engineThreads;
     options.serving.pool = &servingPool;
     options.serving.modeledSolveSec = 0.01;
     options.serving.switchOverheadSec = 0.002;
@@ -205,12 +200,7 @@ runCell(const ClusterMode& mode,
     cell.wallMs =
         std::chrono::duration<double, std::milli>(Clock::now() - t0)
             .count();
-    // Pin the reporter's engineThreads render gate so the
-    // serial-vs-parallel dump comparison also covers the epoch
-    // statistics (identical at every thread count by contract).
-    ServingReport normalized = cell.report;
-    normalized.engineThreads = 8;
-    cell.rendered = describeServingReport(normalized);
+    cell.rendered = describeServingReport(cell.report);
     return cell;
 }
 
@@ -243,27 +233,27 @@ main()
     const int kShards =
         bench::envInt("SCAR_BENCH_SHARDS", mode.llm ? 64 : 512);
 
-    // The Speedup column only moves with physical parallelism; the
-    // marker keeps 1-core rows (every thread count ties serial)
-    // honest in aggregated CSVs.
+    // The parallel row's Speedup only moves with physical
+    // parallelism; the marker keeps 1-core rows (every thread count
+    // ties serial) honest in aggregated CSVs.
     const unsigned hostConcurrency =
         std::thread::hardware_concurrency();
     const bool singleCoreHost = hostConcurrency <= 1;
 
-    ThreadPool servingPool(0); // solver workers, default concurrency
+    ThreadPool serialPool(1);
+    ThreadPool widePool(8);
 
-    TextTable table({"Sweep", "Shards", "Eng thr", "Wall (ms)",
-                     "Speedup", "Events/s", "Virt req/s", "p99 (s)",
-                     "Solves"});
+    TextTable table({"Sweep", "Shards", "Wall (ms)", "Speedup",
+                     "Events/s", "Virt req/s", "p99 (s)", "Solves"});
     CsvWriter csv(bench::csvPath("cluster_scaling" + mode.suffix()),
-                  {"sweep", "shards", "engine_threads", "requests",
+                  {"sweep", "shards", "requests",
                    "wall_ms", "speedup", "events_per_s",
                    "virt_throughput_rps", "p99_s", "slo_miss_rate",
                    "searches", "contested_routes",
                    "cost_optimal_routes", "host_hw_concurrency",
                    "single_core_host"});
 
-    auto addRow = [&](const char* sweep, int shards, int threads,
+    auto addRow = [&](const char* sweep, int shards,
                       const CellResult& cell, double speedup,
                       long requests) {
         // Committed boundary ticks are not exported; completed
@@ -274,7 +264,6 @@ main()
                               cell.report.dispatches;
         const double eventsPerS = events / (cell.wallMs / 1000.0);
         table.addRow({sweep, std::to_string(shards),
-                      std::to_string(threads),
                       TextTable::num(cell.wallMs, 0),
                       TextTable::num(speedup, 2) + "x",
                       TextTable::num(eventsPerS, 0),
@@ -282,7 +271,7 @@ main()
                       TextTable::num(cell.report.p99LatencySec, 3),
                       std::to_string(cell.report.cache.misses)});
         csv.addRow({sweep, std::to_string(shards),
-                    std::to_string(threads), std::to_string(requests),
+                    std::to_string(requests),
                     TextTable::num(cell.wallMs, 3),
                     TextTable::num(speedup, 4),
                     TextTable::num(eventsPerS, 1),
@@ -296,30 +285,20 @@ main()
                     singleCoreHost ? "1" : "0"});
     };
 
-    // ---- engine-thread sweep at full fleet size ------------------
+    // ---- full fleet on a 1- and an 8-thread solver pool ----------
     const auto catalog =
         scaledCatalog(mode, static_cast<double>(kShards));
     const std::vector<Request> trace =
         modeTrace(mode, catalog, kRequests);
+    const CellResult serial =
+        runCell(mode, catalog, trace, kShards, serialPool);
+    const CellResult parallel =
+        runCell(mode, catalog, trace, kShards, widePool);
+    addRow("serial", kShards, serial, 1.0, kRequests);
+    addRow("parallel", kShards, parallel,
+           serial.wallMs / parallel.wallMs, kRequests);
 
-    std::string serialReport;
-    std::string parallelReport;
-    double serialWallMs = 0.0;
-    for (const int threads : {1, 2, 4, 8}) {
-        const CellResult cell = runCell(mode, catalog, trace,
-                                        kShards, threads,
-                                        servingPool);
-        if (threads == 1) {
-            serialWallMs = cell.wallMs;
-            serialReport = cell.rendered;
-        }
-        if (threads == 8)
-            parallelReport = cell.rendered;
-        addRow("engine", kShards, threads, cell,
-               serialWallMs / cell.wallMs, kRequests);
-    }
-
-    // ---- shard sweep at 8 engine threads -------------------------
+    // ---- shard sweep on the 8-thread solver pool ------------------
     // Constant load per shard: the stream grows with the fleet, so a
     // flat wall-per-request column demonstrates O(log N) routing.
     double shardBaseWallPerReq = 0.0;
@@ -332,11 +311,11 @@ main()
             scaledCatalog(mode, static_cast<double>(shards));
         const auto tr = modeTrace(mode, cat, requests);
         const CellResult cell =
-            runCell(mode, cat, tr, shards, 8, servingPool);
+            runCell(mode, cat, tr, shards, widePool);
         const double wallPerReq = cell.wallMs / requests;
         if (shardBaseWallPerReq == 0.0)
             shardBaseWallPerReq = wallPerReq;
-        addRow("shards", shards, 8, cell,
+        addRow("shards", shards, cell,
                shardBaseWallPerReq / wallPerReq, requests);
     }
 
@@ -350,15 +329,15 @@ main()
                  "solve 0.01 s, switch overhead 0.002 s)\n"
               << "Host concurrency: " << hostConcurrency
               << (singleCoreHost ? " (SINGLE-CORE HOST: " : " (")
-              << "engine speedup is bounded by physical cores; on "
-                 "a 1-core host every row ties serial)\n\n";
+              << "solver speedup is bounded by physical cores; on "
+                 "a 1-core host parallel ties serial)\n\n";
     std::cout << table.render();
-    std::cout << "\nEngine rows replay the identical virtual stream; "
-                 "Speedup is serial wall / row wall.\nShard rows "
-                 "scale the stream with the fleet; Speedup is "
-                 "base wall-per-request / row's\n(flat = O(log N) "
-                 "routing). Virtual columns never move across engine "
-                 "threads.\n";
+    std::cout << "\nThe serial and parallel rows replay the identical "
+                 "virtual stream on 1 and 8 solver\nthreads; Speedup "
+                 "is serial wall / row wall. Shard rows scale the "
+                 "stream with the\nfleet; Speedup is base "
+                 "wall-per-request / row's (flat = O(log N) routing).\n"
+                 "Virtual columns never move across solver threads.\n";
     std::cout << "\nCSV: "
               << bench::csvPath("cluster_scaling" + mode.suffix())
               << "\n";
@@ -371,12 +350,12 @@ main()
     const std::string parallelPath =
         "bench_results/cluster_scaling_report" + mode.suffix() +
         "_parallel.txt";
-    if (!writeText(serialPath, serialReport) ||
-        !writeText(parallelPath, parallelReport)) {
+    if (!writeText(serialPath, serial.rendered) ||
+        !writeText(parallelPath, parallel.rendered)) {
         std::cerr << "FAILED to write report dumps\n";
         return 1;
     }
-    if (serialReport != parallelReport) {
+    if (serial.rendered != parallel.rendered) {
         std::cerr << "DETERMINISM VIOLATION: serial and 8-thread "
                      "reports differ (see "
                   << serialPath << " vs " << parallelPath << ")\n";

@@ -26,8 +26,8 @@
  * Gate: the fidelity switch must flip at least one routing decision
  * (per-shard dispatch counts differ between the two runs).
  *
- * Part 3 — determinism: the phased fleet run repeats at 1 and 8
- * engine threads; both rendered ServingReports are dumped to
+ * Part 3 — determinism: the phased fleet run repeats on 1- and
+ * 8-thread solver pools; both rendered ServingReports are dumped to
  * bench_results/comm_fidelity_report_{serial,parallel}.txt, the
  * bench exits nonzero if they differ by a byte, and CI cmp's the
  * dumps again.
@@ -49,6 +49,7 @@
 #include "bench_util.h"
 #include "common/csv.h"
 #include "common/table.h"
+#include "common/thread_pool.h"
 #include "cost/comm_model.h"
 #include "eval/reporter.h"
 #include "runtime/fleet.h"
@@ -147,13 +148,13 @@ onePortPackage(bool broadcast)
 ServingReport
 runFleet(const std::vector<ServedModel>& catalog,
          const std::vector<Request>& trace, CommFidelity fidelity,
-         int engineThreads)
+         ThreadPool* pool = nullptr)
 {
     FleetOptions options;
     options.shardTemplates = {onePortPackage(false),
                               onePortPackage(true)};
     options.routing = RoutingPolicy::BestFit;
-    options.engineThreads = engineThreads;
+    options.serving.pool = pool;
     options.serving.scar.window.eval.fidelity = fidelity;
     options.serving.modeledSolveSec = 0.01;
     options.serving.switchOverheadSec = 0.002;
@@ -267,11 +268,14 @@ main()
     // ---- Part 2: fidelity flips a BestFit routing decision ---------
     const auto catalog = fleetCatalog();
     const auto trace = poissonTrace(catalog, kRequests, /*seed=*/23);
+    // The phased run doubles as Part 3's serial reference.
+    ThreadPool serialPool(1);
+    ThreadPool widePool(8);
 
     const ServingReport staticRun =
-        runFleet(catalog, trace, CommFidelity::Static, 1);
+        runFleet(catalog, trace, CommFidelity::Static);
     const ServingReport phasedRun =
-        runFleet(catalog, trace, CommFidelity::Phased, 1);
+        runFleet(catalog, trace, CommFidelity::Phased, &serialPool);
 
     TextTable fleetTable({"Fidelity", "Shard 0 (mesh)",
                           "Shard 1 (bcast)", "p99 (s)",
@@ -303,17 +307,10 @@ main()
     std::cout << "\nGate: phased fidelity flips >= 1 BestFit routing "
                  "decision — OK\n";
 
-    // ---- Part 3: phased determinism across engine threads ----------
-    // Pin the reporter's engineThreads render gate on both sides so
-    // the byte comparison also covers the epoch statistics
-    // (identical at every thread count by contract).
-    const auto renderPinned = [](ServingReport report) {
-        report.engineThreads = 8;
-        return describeServingReport(report);
-    };
-    const std::string serialReport = renderPinned(phasedRun);
-    const std::string parallelReport = renderPinned(
-        runFleet(catalog, trace, CommFidelity::Phased, 8));
+    // ---- Part 3: phased determinism across solver threads ----------
+    const std::string serialReport = describeServingReport(phasedRun);
+    const std::string parallelReport = describeServingReport(
+        runFleet(catalog, trace, CommFidelity::Phased, &widePool));
 
     const std::string serialPath =
         "bench_results/comm_fidelity_report_serial.txt";

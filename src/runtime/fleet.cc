@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <functional>
 #include <limits>
 #include <set>
 #include <tuple>
@@ -113,10 +114,6 @@ FleetSimulator::FleetSimulator(std::vector<ServedModel> catalog,
                  "fleet: negative preemption slack threshold");
     SCAR_REQUIRE(options_.serving.preemption.resumeOverheadSec >= 0.0,
                  "fleet: negative preemption resume overhead");
-    SCAR_REQUIRE(options_.engineThreads >= 0,
-                 "fleet: negative engineThreads");
-    SCAR_REQUIRE(options_.cacheStripes >= 0,
-                 "fleet: negative cacheStripes");
     // Mix signatures key the schedule cache by model name, so two
     // catalog entries sharing a name would silently replay each
     // other's schedules — as would names containing the signature's
@@ -161,8 +158,8 @@ FleetSimulator::FleetSimulator(std::vector<ServedModel> catalog,
     const int numCaches =
         options_.sharedCache ? 1 : options_.shards;
     for (int c = 0; c < numCaches; ++c)
-        caches_.push_back(std::make_unique<AsyncScheduleCache>(
-            *pool_, cacheOpts, options_.cacheStripes));
+        caches_.push_back(
+            std::make_unique<AsyncScheduleCache>(*pool_, cacheOpts));
     shards_.resize(options_.shards);
     for (int s = 0; s < options_.shards; ++s) {
         shards_[s].cache =
@@ -188,55 +185,6 @@ FleetSimulator::FleetSimulator(std::vector<ServedModel> catalog,
         podOf_[s] = it->second;
     }
     idx_.resize(shards_.size());
-
-    // Epoch engine concurrency: 1 drains inline, 0 borrows the
-    // serving pool, > 1 owns a dedicated pool. Output is identical
-    // at every setting.
-    if (options_.engineThreads == 0) {
-        enginePool_ = pool_;
-        engineMode_ = EngineMode::Borrowed;
-    } else if (options_.engineThreads > 1) {
-        ownedEnginePool_ =
-            std::make_unique<ThreadPool>(options_.engineThreads);
-        enginePool_ = ownedEnginePool_.get();
-        engineMode_ = EngineMode::Dedicated;
-    }
-    debug("fleet: epoch engine ", engineModeDescription(), ", ",
-          shards_.size(), " shards, indexedRouting=",
-          options_.indexedRouting ? "on" : "off",
-          llmEnabled_ ? ", llm bound terms armed" : "",
-          options_.serving.preemption.enabled
-              ? ", urgency bound term armed"
-              : "");
-}
-
-const char*
-engineModeName(EngineMode mode)
-{
-    switch (mode) {
-    case EngineMode::Inline: return "inline";
-    case EngineMode::Borrowed: return "borrowed-pool";
-    case EngineMode::Dedicated: return "dedicated-pool";
-    }
-    return "?";
-}
-
-std::string
-FleetSimulator::engineModeDescription() const
-{
-    switch (engineMode_) {
-    case EngineMode::Inline:
-        return "inline (engineThreads = 1: epoch drains run on the "
-               "event thread)";
-    case EngineMode::Borrowed:
-        return "borrowed serving pool (engineThreads = 0: " +
-               std::to_string(pool_->concurrency()) +
-               "-way shared pool)";
-    case EngineMode::Dedicated:
-        return "dedicated pool (" +
-               std::to_string(options_.engineThreads) + " threads)";
-    }
-    return "?";
 }
 
 const AsyncScheduleCache&
@@ -437,6 +385,18 @@ FleetSimulator::dispatchCostSec(std::size_t shard,
     return waitSec + switchSec + solveSec + makespanSec;
 }
 
+bool
+FleetSimulator::routeCandidate(std::size_t s, bool urgent) const
+{
+    // A shard parking a suspended replay is reserved for its resume:
+    // only urgent dispatches (the reason it was preempted at all) may
+    // claim it first — otherwise arbitrary ready batches could starve
+    // the preempted requests indefinitely.
+    const Shard& sh = shards_[s];
+    return !sh.executor.busy() && !sh.hasPending &&
+           (urgent || !sh.hasSuspended);
+}
+
 int
 FleetSimulator::routeDispatch(const std::string& mixSig,
                               const Scenario& mix, double nowSec,
@@ -452,14 +412,8 @@ FleetSimulator::routeDispatch(const std::string& mixSig,
         return routeIndexed(mixSig, mix, nowSec, allowDefer);
 
     const std::size_t n = shards_.size();
-    // A shard parking a suspended replay is reserved for its resume:
-    // only urgent dispatches (the reason it was preempted at all) may
-    // claim it first — otherwise arbitrary ready batches could starve
-    // the preempted requests indefinitely.
     auto isCandidate = [&](std::size_t s) {
-        return !shards_[s].executor.busy() &&
-               !shards_[s].hasPending &&
-               (urgent || !shards_[s].hasSuspended);
+        return routeCandidate(s, urgent);
     };
     // Per-shard completion costs, computed at most once per routing
     // decision and shared between BestFit's pick and the
@@ -732,9 +686,9 @@ FleetSimulator::syncShard(std::size_t s)
     if (busy) {
         k.boundarySec = sh.executor.nextBoundarySec();
         boundaryQueue_.insert({k.boundarySec, si});
-        // The epoch bound keys on the executor's accumulated final
-        // boundary, not busyUntilSec: the two can differ by ulps and
-        // an epoch must never admit a dispatch-done tick.
+        // The quiet-interval bound keys on the executor's accumulated
+        // final boundary, not busyUntilSec: the two can differ by
+        // ulps and a drain must never admit a dispatch-done tick.
         k.busyEndSec = sh.executor.finalBoundarySec();
         busyEndQueue_.insert({k.busyEndSec, si});
     }
@@ -1006,6 +960,56 @@ FleetSimulator::routeIndexed(const std::string& mixSig,
     return chosen;
 }
 
+/** Mutable state of one run(), shared by the event handlers. */
+struct FleetSimulator::RunState
+{
+    RunState(const std::vector<Request>& trace_,
+             const std::vector<ServedModel>& catalog,
+             const AdmissionOptions& admissionOptions,
+             obs::FlightRecorder* recorder)
+        : trace(trace_), admission(catalog, admissionOptions),
+          rec(recorder)
+    {
+    }
+
+    const std::vector<Request>& trace;
+    AdmissionController admission;
+    // Flight recorder: rec == nullptr is the disabled state, and every
+    // hook sits behind that check — a disabled run does no
+    // observability work and stays byte-identical to an uninstrumented
+    // build. All recorded events carry virtual timestamps and are
+    // emitted from this single-threaded loop, so an enabled trace is
+    // deterministic at any solver thread count.
+    obs::FlightRecorder* const rec;
+    /** One compute closure per shard: a schedule is only meaningful
+     *  for the package it was searched on. */
+    std::vector<ScheduleCache::ComputeFn> computes;
+    ScheduleCacheStats cacheBefore; ///< cache counters at run start
+    std::size_t next = 0;           ///< next arrival to admit
+    double nowSec = 0.0;
+    // The speculative peek only changes when the queues do; skip the
+    // Scenario/signature rebuild on the (frequent) other events.
+    long queueEpoch = 0;
+    long lastSpeculativeEpoch = -1;
+    long paddedSlots = 0;
+    /** Some queued request is urgent (refreshed once per iteration:
+     *  nothing before the next event changes the queues). */
+    bool urgent = false;
+    /** BestFit deferred this iteration's ready batch. */
+    bool deferred = false;
+};
+
+struct FleetSimulator::NextEvent
+{
+    double tArrival = kInf;
+    double tBoundary = kInf;
+    int boundaryShard = -1;
+    double tPending = kInf;
+    double tTimer = kInf;
+    double tUrgent = kInf;
+    double tNext = kInf; ///< the min of the above
+};
+
 ServingReport
 FleetSimulator::run(const std::vector<Request>& trace)
 {
@@ -1013,13 +1017,50 @@ FleetSimulator::run(const std::vector<Request>& trace)
         SCAR_REQUIRE(trace[i - 1].arrivalSec <= trace[i].arrivalSec,
                      "fleet: trace not sorted by arrival time");
 
+    RunState st(trace, catalog_, options_.serving.admission,
+                options_.recorder);
+    beginRun(st);
+    while (st.next < trace.size() || st.admission.queuedCount() > 0 ||
+           (llmEnabled_ && st.admission.decodeQueuedCount() > 0) ||
+           !boundaryQueue_.empty() || !pendingQueue_.empty() ||
+           suspendedCount_ > 0) {
+        fireSamples(st);
+        st.urgent = urgentQueued(st);
+        st.deferred = false;
+        if (resumeIdleSuspended(st) || startDueParked(st) ||
+            formDecodeRound(st) || routeReadyBatch(st))
+            continue;
+        if (st.deferred && st.rec)
+            st.rec->metrics().counter("routing.deferrals").inc();
+        speculate(st);
+
+        const NextEvent ev = pickNextEvent(st);
+        st.nowSec = std::max(st.nowSec, ev.tNext);
+        if (ev.tArrival <= ev.tBoundary && ev.tArrival <= ev.tPending &&
+            ev.tArrival <= ev.tTimer && ev.tArrival <= ev.tUrgent) {
+            commitArrival(st);
+        } else if (ev.tBoundary <= ev.tPending &&
+                   ev.tBoundary <= ev.tTimer &&
+                   ev.tBoundary <= ev.tUrgent) {
+            if (!drainQuietInterval(st, ev))
+                boundaryTick(st, ev.boundaryShard);
+        }
+        // Pending-ready, timer, and urgency events need no action
+        // beyond advancing the clock: the loop head fires next
+        // iteration.
+    }
+    return summarize(st);
+}
+
+void
+FleetSimulator::beginRun(RunState& st)
+{
     // Per-run accounting reset; caches persist across runs.
-    ScheduleCacheStats before;
     for (const auto& cache : caches_) {
         const ScheduleCacheStats s = cache->stats();
-        before.hits += s.hits;
-        before.misses += s.misses;
-        before.evictions += s.evictions;
+        st.cacheBefore.hits += s.hits;
+        st.cacheBefore.misses += s.misses;
+        st.cacheBefore.evictions += s.evictions;
     }
     for (Shard& shard : shards_) {
         SCAR_REQUIRE(!shard.executor.busy() && !shard.hasPending &&
@@ -1039,16 +1080,8 @@ FleetSimulator::run(const std::vector<Request>& trace)
     llmDecodeRounds_ = 0;
     llmJoins_ = 0;
     llmBoardedSum_ = 0;
-    epochStats_ = EpochStats{};
     std::fill(llmStreams_.begin(), llmStreams_.end(), 0);
-    // Flight recorder: rec == nullptr is the disabled state, and every
-    // hook below sits behind that check — a disabled run does no
-    // observability work and stays byte-identical to an uninstrumented
-    // build. All recorded events carry virtual timestamps and are
-    // emitted from this single-threaded loop, so an enabled trace is
-    // deterministic at any solver thread count.
-    obs::FlightRecorder* const rec = options_.recorder;
-    if (rec) {
+    if (obs::FlightRecorder* const rec = st.rec) {
         rec->trace().setThreadName(0, "fleet");
         for (std::size_t s = 0; s < shards_.size(); ++s)
             rec->trace().setThreadName(
@@ -1064,19 +1097,13 @@ FleetSimulator::run(const std::vector<Request>& trace)
         rec->samples().reset();
         rec->samples().setColumns(std::move(columns));
     }
-    AdmissionController admission(catalog_,
-                                  options_.serving.admission);
     records_.clear();
-    records_.reserve(trace.size());
-    long paddedSlots = 0;
+    records_.reserve(st.trace.size());
 
-    // One compute closure per shard: a schedule is only meaningful
-    // for the package it was searched on.
-    std::vector<ScheduleCache::ComputeFn> computes;
-    computes.reserve(shards_.size());
+    st.computes.reserve(shards_.size());
     for (std::size_t s = 0; s < shards_.size(); ++s) {
         const Mcm* tpl = &templates_[s];
-        computes.push_back([this, tpl](const Scenario& mix) {
+        st.computes.push_back([this, tpl](const Scenario& mix) {
             ScarOptions so = options_.serving.scar;
             // Default the search onto the fleet's pool, but let an
             // explicit scar.pool or scar.threads setting win — the
@@ -1093,991 +1120,808 @@ FleetSimulator::run(const std::vector<Request>& trace)
     // and the accounting the calendar keys snapshot, so re-derive
     // every index entry before the loop reads them.
     rebuildCalendar();
+}
 
-    auto anyBusyOrPending = [&]() {
-        return !boundaryQueue_.empty() || !pendingQueue_.empty() ||
-               suspendedCount_ > 0;
-    };
-    // Mirrors routeDispatch's candidate rule: a shard parking a
-    // suspended replay only counts for urgent dispatches.
-    auto anyCandidate = [&](bool urgent) {
-        return !freeShards_.empty() ||
-               (urgent && suspendedIdleCount_ > 0);
-    };
-    const PreemptionOptions& preemption =
-        options_.serving.preemption;
+bool
+FleetSimulator::urgentQueued(const RunState& st) const
+{
     // Preemption-eligibility: some queued request's slack has shrunk
     // to the threshold. Gated on `enabled` first so a disabled run
     // never evaluates the urgency predicates (bit-identical to the
     // non-preemptive runtime).
-    auto urgentQueued = [&](double nowSec) {
-        return preemption.enabled &&
-               admission.urgentQueued(nowSec,
-                                      preemption.slackThresholdSec);
-    };
+    const PreemptionOptions& preemption = options_.serving.preemption;
+    return preemption.enabled &&
+           st.admission.urgentQueued(st.nowSec,
+                                     preemption.slackThresholdSec);
+}
 
-    std::size_t next = 0; // next arrival to admit
-    double nowSec = 0.0;
-    // The speculative peek only changes when the queues do; skip the
-    // Scenario/signature rebuild on the (frequent) other events.
-    long queueEpoch = 0;
-    long lastSpeculativeEpoch = -1;
-    // Fixed-interval sampling on the virtual clock. The fleet state
-    // is piecewise-constant between events (sample-and-hold), so the
+bool
+FleetSimulator::anyCandidate(bool urgent) const
+{
+    // Mirrors routeCandidate: a shard parking a suspended replay only
+    // counts for urgent dispatches.
+    return !freeShards_.empty() || (urgent && suspendedIdleCount_ > 0);
+}
+
+bool
+FleetSimulator::resumeIdleSuspended(RunState& st)
+{
+    // Resume suspended replays on idle shards. While an urgent
+    // request is queued the shard stays reserved for it (that is
+    // what it was preempted for — and serving a back-to-back urgent
+    // batch before resuming avoids a pointless resume/re-preempt
+    // cycle); the moment urgency clears, the preempted replay
+    // continues from its cursor.
+    bool resumed = false;
+    if (suspendedCount_ > 0) {
+        for (Shard& shard : shards_) {
+            if (!shard.hasSuspended || shard.executor.busy() ||
+                shard.hasPending || st.urgent)
+                continue;
+            resumeSuspended(shard, st.nowSec);
+            syncShard(static_cast<std::size_t>(&shard -
+                                               shards_.data()));
+            resumed = true;
+        }
+    }
+    return resumed;
+}
+
+bool
+FleetSimulator::startDueParked(RunState& st)
+{
+    // Start parked dispatches whose schedule is usable now. The
+    // pending queue holds exactly the parked-idle shards keyed by
+    // ready instant, so the due set is its prefix; the serial loop
+    // visited shards in index order, so sort the due indices before
+    // starting them (start order fixes the trace event order and the
+    // switch-overhead charging instant).
+    bool started = false;
+    std::vector<int> dueIdx;
+    for (const auto& [readySec, si] : pendingQueue_) {
+        if (readySec > st.nowSec)
+            break;
+        dueIdx.push_back(si);
+    }
+    std::sort(dueIdx.begin(), dueIdx.end());
+    for (const int si : dueIdx) {
+        Shard& shard = shards_[si];
+        // Wall-clock join: blocks only if the background solve is
+        // still running; the virtual clock is unaffected. Cache hits
+        // parked their schedule at lookup time.
+        auto schedule = shard.pendingSchedule != nullptr
+                            ? std::move(shard.pendingSchedule)
+                            : shard.cache->join(shard.pendingKey);
+        // A decode round replays the cached *one-step* schedule
+        // llmDecodeSteps times; the cache key stays the one-step
+        // signature so every round of the same (context bucket,
+        // batch) shares one cached solve. llmWindowsPerStep marks the
+        // step-aligned boundaries for the join cut.
+        if (shard.pending.llmDecodeSteps > 0) {
+            shard.llmWindowsPerStep =
+                static_cast<int>(schedule->windowSec.size());
+            if (shard.pending.llmDecodeSteps > 1)
+                schedule = repeatSchedule(schedule,
+                                          shard.pending.llmDecodeSteps);
+        } else {
+            shard.llmWindowsPerStep = 1;
+        }
+        double startSec = st.nowSec;
+        if (!shard.lastKey.empty() &&
+            shard.lastKey != shard.pendingKey &&
+            options_.serving.switchOverheadSec > 0.0) {
+            startSec += options_.serving.switchOverheadSec;
+            shard.switchOverheadSec +=
+                options_.serving.switchOverheadSec;
+            if (st.rec)
+                st.rec->trace().completeVirtual(
+                    si + 1, "switch", "overhead", st.nowSec,
+                    options_.serving.switchOverheadSec);
+        }
+        if (st.rec) {
+            for (const BatchGroup& group : shard.pending.groups)
+                for (const Request& req : group.requests)
+                    st.rec->trace().asyncInstantVirtual(
+                        static_cast<std::uint64_t>(req.id),
+                        "dispatch", "request", startSec);
+        }
+        shard.busySec += schedule->makespanSec;
+        shard.busyUntilSec = startSec + schedule->makespanSec;
+        shard.traceWindowStartSec = startSec;
+        shard.lastKey = shard.pendingKey;
+        shard.executor.start(std::move(schedule),
+                             std::move(shard.pending), startSec);
+        shard.hasPending = false;
+        shard.pendingKey.clear();
+        shard.pendingSchedule.reset();
+        syncShard(static_cast<std::size_t>(si));
+        started = true;
+    }
+    return started;
+}
+
+bool
+FleetSimulator::formDecodeRound(RunState& st)
+{
+    // Decode rounds: a free shard and decode-queue waiters form a
+    // single-model decode dispatch with no batching timer
+    // (generation cadence dominates; a waiting sequence is never
+    // better off idle). Runs before routeReadyBatch so decode streams
+    // keep their cadence against competing prefill batches. Waiters
+    // appear only at commitTick (prefill completion, round end) or a
+    // join cut, so the very next loop iteration sees them here — the
+    // event calendar needs no extra timer for decode work.
+    if (!llmEnabled_ || freeShards_.empty() ||
+        st.admission.decodeQueuedCount() == 0)
+        return false;
+    const bool continuous = options_.serving.admission.llmBatching ==
+                            LlmBatchingMode::Continuous;
+    int decodeModel = -1;
+    for (std::size_t m = 0; m < catalog_.size(); ++m) {
+        const int waiters =
+            st.admission.decodeQueuedCount(static_cast<int>(m));
+        if (waiters == 0)
+            continue;
+        // Continuous batching holds waiters for the running stream's
+        // next step boundary (join cut) instead of opening a rival
+        // round — unless a full batch is already waiting, which earns
+        // its own stream.
+        if (continuous && llmStreams_[m] > 0 &&
+            waiters < catalog_[m].model.batch)
+            continue;
+        decodeModel = static_cast<int>(m);
+        break;
+    }
+    if (decodeModel < 0)
+        return false;
+    const Scenario peeked = st.admission.peekDecodeMix(decodeModel);
+    const std::string sig = peeked.signature();
+    const int target = routeDispatch(sig, peeked, st.nowSec,
+                                     /*allowDefer=*/false,
+                                     /*urgent=*/false);
+    SCAR_ASSERT(target >= 0, "fleet: decode round found no shard with "
+                             "free shards available");
+    ++st.queueEpoch;
+    Dispatch dispatch = st.admission.formDecodeDispatch(decodeModel);
+    SCAR_ASSERT(dispatch.mix.signature() == sig,
+                "fleet: decode dispatch mix diverged from the routed "
+                "peek");
+    // Decode rounds do not add padded slots: occupancy stays a
+    // prefill-batching metric, and each request would otherwise be
+    // charged once per round. Decode batch fill is reported as
+    // llmMeanDecodeBatch.
+    ++llmStreams_[decodeModel];
+    ++llmDecodeRounds_;
+    llmBoardedSum_ +=
+        static_cast<long>(dispatch.groups.front().requests.size());
+    parkDispatch(st, target, std::move(dispatch), sig,
+                 "dispatches.decode");
+    return true;
+}
+
+bool
+FleetSimulator::routeReadyBatch(RunState& st)
+{
+    // Free shard + ready batch: route, then form and park a dispatch.
+    // Routing happens on the peeked mix *before* the queues are
+    // consumed so BestFit can defer: when an occupied shard's
+    // projected completion beats every idle candidate, the batch
+    // stays queued and is re-routed at the next event (typically when
+    // the preferred shard frees up).
+    const PreemptionOptions& preemption = options_.serving.preemption;
+    AdmissionController& admission = st.admission;
+    const bool urgent = st.urgent;
+    // Speculative partial dispatch: with the flag set, a shard that
+    // would otherwise idle claims whatever is queued right now
+    // instead of waiting out the batching timer.
+    const bool partialReady =
+        options_.serving.admission.speculativePartialDispatch &&
+        admission.queuedCount() > 0 && !freeShards_.empty();
+    if (!(admission.ready(st.nowSec) || urgent || partialReady) ||
+        !anyCandidate(urgent))
+        return false;
+    // An urgent batch boards only the models holding an urgent
+    // request (shortest possible fast lane) and is dispatchable
+    // regardless of batch-fill / aging state.
+    const Scenario peeked =
+        urgent ? admission.peekUrgentMix(st.nowSec,
+                                         preemption.slackThresholdSec)
+               : admission.peekMix();
+    const std::string sig = peeked.signature();
+    // Overflow check: padded dispatch batches cover every queued
+    // request unless some queue exceeded its cap, in which case
+    // requests stay behind and deferral would starve the fleet's
+    // throughput.
+    int batchSlots = 0;
+    for (const Model& model : peeked.models)
+        batchSlots += model.batch;
+    // Never defer an urgent dispatch: it exists because some request
+    // cannot afford to wait for a better package.
+    const bool allowDefer = options_.bestFitDefer && !urgent &&
+                            admission.queuedCount() <= batchSlots;
+    const int target =
+        routeDispatch(sig, peeked, st.nowSec, allowDefer, urgent);
+    if (target < 0) {
+        st.deferred = true;
+        return false;
+    }
+    ++st.queueEpoch;
+    Dispatch dispatch =
+        urgent ? admission.formUrgentDispatch(
+                     st.nowSec, preemption.slackThresholdSec)
+               : admission.formDispatch(st.nowSec);
+    SCAR_ASSERT(dispatch.mix.signature() == sig,
+                "fleet: dispatch mix diverged from the routed peek");
+    for (const BatchGroup& group : dispatch.groups)
+        st.paddedSlots += group.batch;
+    parkDispatch(st, target, std::move(dispatch), sig,
+                 urgent ? "dispatches.urgent" : "dispatches.regular");
+    return true;
+}
+
+void
+FleetSimulator::parkDispatch(RunState& st, int target,
+                             Dispatch dispatch, const std::string& sig,
+                             const char* counter)
+{
+    Shard& shard = shards_[target];
+    const std::string key =
+        cacheKey(sig, static_cast<std::size_t>(target));
+    const AsyncLookup found = shard.cache->lookup(
+        key, dispatch.mix, st.computes[target], st.nowSec,
+        options_.serving.modeledSolveSec);
+    double endSec = found.readySec;
+    if (!shard.lastKey.empty() && shard.lastKey != key)
+        endSec += options_.serving.switchOverheadSec;
+    double makespanSec =
+        found.schedule != nullptr
+            ? found.schedule->makespanSec
+            : estimateMakespanKeyed(
+                  key, static_cast<std::size_t>(target), dispatch.mix);
+    // A decode round replays its one-step schedule llmDecodeSteps
+    // times.
+    if (dispatch.llmDecodeSteps > 0)
+        makespanSec *= dispatch.llmDecodeSteps;
+    endSec += makespanSec;
+    shard.hasPending = true;
+    shard.pending = std::move(dispatch);
+    shard.pendingKey = key;
+    shard.pendingReadySec = found.readySec;
+    shard.pendingEndSec = endSec;
+    shard.pendingSchedule = found.schedule;
+    syncShard(static_cast<std::size_t>(target));
+    shard.solveStallSec += std::max(0.0, found.readySec - st.nowSec);
+    if (obs::FlightRecorder* const rec = st.rec) {
+        const int tid = target + 1;
+        // lookup() counts joining an in-flight solve as a hit; only a
+        // lookup that launched the solve is a miss (matches
+        // ScheduleCacheStats).
+        const bool hit = !found.startedSolve;
+        rec->trace().instantVirtual(tid,
+                                    hit ? "cache-hit" : "cache-miss",
+                                    "cache", st.nowSec,
+                                    {obs::argText("mix", sig)});
+        rec->metrics()
+            .counter(hit ? "cache.hits" : "cache.misses")
+            .inc();
+        rec->metrics().counter(counter).inc();
+        if (found.readySec > st.nowSec)
+            rec->trace().completeVirtual(
+                tid, "solve-stall", "stall", st.nowSec,
+                found.readySec - st.nowSec,
+                {obs::argText("mix", sig)});
+    }
+}
+
+void
+FleetSimulator::speculate(RunState& st)
+{
+    // Ready batch but every shard occupied: solve the would-be mix in
+    // the background so the search overlaps the replays. Only
+    // worthwhile when solves cost virtual time — with a free
+    // (modeledSolveSec = 0) solve there is no stall to hide, and
+    // speculating on transient peek mixes would just burn extra
+    // searches and distort the hit-rate counters.
+    if (!options_.speculativeSolve ||
+        options_.serving.modeledSolveSec <= 0.0 ||
+        !(st.admission.ready(st.nowSec) || st.urgent) ||
+        st.queueEpoch == st.lastSpeculativeEpoch)
+        return;
+    st.lastSpeculativeEpoch = st.queueEpoch;
+    // Under urgency the next dispatch out is the urgent mix, so that
+    // is the schedule worth warming.
+    const Scenario peeked =
+        st.urgent ? st.admission.peekUrgentMix(
+                        st.nowSec,
+                        options_.serving.preemption.slackThresholdSec)
+                  : st.admission.peekMix();
+    const std::string peekedSig = peeked.signature();
+    const int target =
+        speculationTarget(peekedSig, peeked, st.nowSec, st.urgent);
+    if (target < 0)
+        return;
+    shards_[target].cache->prefetch(
+        cacheKey(peekedSig, static_cast<std::size_t>(target)), peeked,
+        st.computes[target],
+        st.nowSec + options_.serving.modeledSolveSec);
+    if (st.rec) {
+        st.rec->trace().instantVirtual(
+            target + 1, "speculative-solve", "cache", st.nowSec,
+            {obs::argText("mix", peekedSig)});
+        st.rec->metrics().counter("solves.speculative").inc();
+    }
+}
+
+FleetSimulator::NextEvent
+FleetSimulator::pickNextEvent(const RunState& st) const
+{
+    // The calendar's ordered sets hand over each next-event time in
+    // O(log N); the boundary head ties exactly like the old scan
+    // (strict <, so the lowest shard index wins equal times — set
+    // order is (time, idx)).
+    const AdmissionController& admission = st.admission;
+    const PreemptionOptions& preemption = options_.serving.preemption;
+    NextEvent ev;
+    if (st.next < st.trace.size())
+        ev.tArrival = st.trace[st.next].arrivalSec;
+    if (!boundaryQueue_.empty()) {
+        ev.tBoundary = boundaryQueue_.begin()->first;
+        ev.boundaryShard = boundaryQueue_.begin()->second;
+    }
+    if (!pendingQueue_.empty())
+        ev.tPending = pendingQueue_.begin()->first;
+    // The batching timer only matters while a shard can accept a
+    // dispatch: busy shards dispatch as soon as they free up. A
+    // deferred batch is already past its timer — its next chance is
+    // a state change (boundary / solve-ready / arrival), and
+    // re-arming the elapsed timer would spin the loop in place.
+    if (!st.deferred && anyCandidate(false) &&
+        admission.queuedCount() > 0)
+        ev.tTimer = admission.nextForcedDispatchSec();
+    // Urgency timer: the instant the next queued request's slack
+    // crosses the preemption threshold, an urgent dispatch can claim
+    // an idle shard without waiting for batch fill or the
+    // forced-dispatch timer. Only armed while a candidate exists
+    // (with none, the urgent batch's next chance is a window boundary
+    // — where the preemptor acts — so boundary events already cover
+    // it) and while not already urgent (routeReadyBatch either
+    // dispatched or, with no candidate, boundaries drive progress;
+    // re-arming an elapsed instant would spin).
+    if (preemption.enabled && !st.urgent &&
+        admission.queuedCount() > 0 && anyCandidate(true))
+        ev.tUrgent = admission.earliestDeadlineSec() -
+                     preemption.slackThresholdSec;
+    ev.tNext = std::min(
+        {ev.tArrival, ev.tBoundary, ev.tPending, ev.tTimer, ev.tUrgent});
+    SCAR_REQUIRE(ev.tNext < kInf, "fleet: event loop stalled with ",
+                 admission.queuedCount(), " queued requests");
+    return ev;
+}
+
+void
+FleetSimulator::commitArrival(RunState& st)
+{
+    // Timestamps come from the request itself, so the rendered trace
+    // is identical whether the arrival is committed on its own event
+    // or absorbed into a quiet-interval drain.
+    const Request& req = st.trace[st.next];
+    st.admission.enqueue(req);
+    if (st.rec) {
+        const std::string& model = catalog_[req.modelIdx].model.name;
+        std::vector<obs::TraceArg> args{obs::argText("model", model)};
+        if (req.deadlineSec < kInf)
+            args.push_back(obs::argNum("deadline_sec", req.deadlineSec));
+        st.rec->trace().asyncBeginVirtual(
+            static_cast<std::uint64_t>(req.id), "req " + model,
+            "request", req.arrivalSec, std::move(args));
+        st.rec->metrics().counter("requests.arrived").inc();
+    }
+    ++st.next;
+    ++st.queueEpoch;
+}
+
+void
+FleetSimulator::commitTick(RunState& st, int shardIdx, WindowTick& tick)
+{
+    Shard& sh = shards_[shardIdx];
+    obs::FlightRecorder* const rec = st.rec;
+    if (rec)
+        rec->trace().completeVirtual(
+            shardIdx + 1, "w" + std::to_string(tick.windowIdx),
+            "replay", sh.traceWindowStartSec,
+            tick.timeSec - sh.traceWindowStartSec,
+            {obs::argInt("window", tick.windowIdx)});
+    sh.traceWindowStartSec = tick.timeSec;
+    // Autoregressive transition. For an LLM request a "completion" at
+    // a window boundary is the end of one prefill or one decode round,
+    // not necessarily the end of the request: unfinished sequences
+    // re-enter the decode queue, and tick.completed is filtered down
+    // to the truly retiring requests before the generic record loop
+    // below. Empty for non-LLM catalogs, so a run without LLM entries
+    // takes the pre-LLM path bit-for-bit.
+    if (llmEnabled_ && !tick.completed.empty()) {
+        // A decode round carries riders stamped by formDecodeDispatch;
+        // at least one is unfinished (a fully finished group retired
+        // at its previous round).
+        bool decodeRound = false;
+        for (const Request& req : tick.completed) {
+            if (req.ridingDecodeSteps > 0) {
+                decodeRound = true;
+                break;
+            }
+        }
+        bool allFinished = true;
+        if (decodeRound) {
+            for (Request& req : tick.completed) {
+                req.generatedTokens += req.ridingDecodeSteps;
+                req.ridingDecodeSteps = 0;
+                if (req.generatedTokens < req.outputTokens)
+                    allFinished = false;
+            }
+            if (tick.dispatchDone)
+                --llmStreams_[tick.completed.front().modelIdx];
+        }
+        const bool lockstep = options_.serving.admission.llmBatching ==
+                              LlmBatchingMode::Static;
+        std::vector<Request> retiring;
+        retiring.reserve(tick.completed.size());
+        for (Request& req : tick.completed) {
+            if (!catalog_[req.modelIdx].llm.autoregressive) {
+                retiring.push_back(std::move(req));
+                continue;
+            }
+            if (!decodeRound) {
+                // Prefill completion = the first output token.
+                req.firstTokenSec = tick.timeSec;
+                req.generatedTokens = 1;
+                if (rec)
+                    rec->trace().asyncInstantVirtual(
+                        static_cast<std::uint64_t>(req.id),
+                        "first-token", "request", tick.timeSec);
+            }
+            const bool finished =
+                req.generatedTokens >= req.outputTokens;
+            // Static decode batches retire in lockstep: finished
+            // members ride as padding until the whole batch is done.
+            if (finished && (!decodeRound || !lockstep || allFinished)) {
+                retiring.push_back(std::move(req));
+                continue;
+            }
+            req.completionSec = -1.0;
+            st.admission.enqueueDecode(req);
+            ++st.queueEpoch;
+        }
+        tick.completed = std::move(retiring);
+    }
+    for (Request& req : tick.completed) {
+        records_.push_back(req);
+        if (rec) {
+            const std::string& model = catalog_[req.modelIdx].model.name;
+            const double queueSec = req.dispatchSec - req.arrivalSec;
+            const double execSec = req.completionSec - req.dispatchSec;
+            rec->trace().asyncEndVirtual(
+                static_cast<std::uint64_t>(req.id), "req " + model,
+                "request", tick.timeSec,
+                {obs::argNum("latency_sec", req.latencySec()),
+                 obs::argNum("queue_sec", queueSec),
+                 obs::argNum("exec_sec", execSec),
+                 obs::argBool("slo_violated", req.sloViolated()),
+                 obs::argBool("preempted", req.preempted)});
+            rec->metrics().counter("requests.completed").inc();
+            if (req.sloViolated())
+                rec->metrics().counter("requests.slo_violations").inc();
+            rec->metrics().histogram("latency_sec").record(
+                req.latencySec());
+            rec->metrics().histogram("queue_wait_sec").record(queueSec);
+            rec->metrics().histogram("exec_sec").record(execSec);
+        }
+    }
+}
+
+double
+FleetSimulator::quietIntervalBound(const RunState& st,
+                                   const NextEvent& ev,
+                                   bool absorbArrivals) const
+{
+    // The min over every next-possible-routing-decision term;
+    // docs/ARCHITECTURE.md tabulates each with its proof sketch.
+    const AdmissionController& admission = st.admission;
+    const PreemptionOptions& preemption = options_.serving.preemption;
+    double bound = ev.tPending;
+    if (!busyEndQueue_.empty())
+        bound = std::min(bound, busyEndQueue_.begin()->first);
+    if (!absorbArrivals)
+        bound = std::min(bound, ev.tArrival);
+    bound = std::min(bound, ev.tTimer);
+    if (options_.speculativeSolve &&
+        options_.serving.modeledSolveSec > 0.0 &&
+        admission.queuedCount() > 0 &&
+        st.queueEpoch != st.lastSpeculativeEpoch)
+        bound = std::min(bound, admission.nextForcedDispatchSec());
+    // Preemption-aware term: the next urgency crossing, on the same
+    // FP expression as the urgency timer — unconditioned on candidate
+    // availability, because a crossing is a routing decision either
+    // way (with a candidate routeReadyBatch dispatches the urgent
+    // batch; with none the next boundary tick suspends a replay).
+    if (preemption.enabled && admission.queuedCount() > 0)
+        bound = std::min(bound, admission.earliestDeadlineSec() -
+                                    preemption.slackThresholdSec);
+    if (!llmEnabled_)
+        return bound;
+    // Join-aware LLM terms, per busy shard.
+    const bool continuous = options_.serving.admission.llmBatching ==
+                            LlmBatchingMode::Continuous;
+    for (const auto& [tb, si] : boundaryQueue_) {
+        (void)tb;
+        const Shard& sh = shards_[si];
+        const Dispatch& running = sh.executor.dispatch();
+        if (running.llmDecodeSteps > 0) {
+            // Decode round: riders retire only at the round's final
+            // boundary — the replay-end term already covers that slot
+            // release — so the in-interval hazard is a join cut at the
+            // next step-aligned boundary once waiters are queued for
+            // the round's model.
+            if (continuous &&
+                admission.decodeQueuedCount(
+                    running.catalogIdx.front()) > 0)
+                bound = std::min(bound, sh.executor.nextStepBoundarySec(
+                                            sh.llmWindowsPerStep));
+        } else {
+            // Prefill/mixed replay: an autoregressive group completing
+            // mid-replay enqueues decode waiters (commitTick bumps the
+            // decode queue and the queue epoch — a routing-decision
+            // source), so the bound stops strictly before the earliest
+            // such completion.
+            bound = std::min(
+                bound, sh.executor.earliestGroupEndSec(
+                           [&](std::size_t m) {
+                               return catalog_[running.catalogIdx[m]]
+                                   .llm.autoregressive;
+                           }));
+        }
+    }
+    return bound;
+}
+
+bool
+FleetSimulator::drainQuietInterval(RunState& st, const NextEvent& ev)
+{
+    // Quiet-interval drain. The loop's routing steps are provably
+    // no-ops strictly before the bound B:
+    //  - no suspension is parked (the gate below), so
+    //    resumeIdleSuspended never fires;
+    //  - no parked schedule comes due before tPending >= B;
+    //  - no shard frees inside the interval (a dispatch-done tick
+    //    lands at its final boundary >= B), so the candidate set is
+    //    frozen and no dispatch forms before the timer or an
+    //    arrival, both >= B;
+    //  - speculate() already ran on the current queue epoch, or the
+    //    speculation term caps B at the forced-dispatch instant where
+    //    ready() could newly turn true;
+    //  - under preemption, B <= the next urgency crossing U: for every
+    //    tick t < U the per-tick urgency predicate (t >= deadline -
+    //    slack, the same FP expression as U) is false bit-for-bit, so
+    //    the preempt check after each tick is a no-op — and the
+    //    queued deadlines cannot change inside the interval because
+    //    arrivals are never absorbed under preemption;
+    //  - on LLM fleets, B stops strictly before the earliest
+    //    step-aligned boundary where a decode round with
+    //    already-queued waiters could take a join cut, and before the
+    //    earliest mid-replay autoregressive completion — so decode
+    //    queues, llmStreams_, and the join-cut predicate stay frozen
+    //    across every committed tick.
+    // Per-event fallbacks: a deferred dispatch re-routes after every
+    // tick, and a preemptive fleet with a parked suspension (resumes
+    // re-check per tick) or an already-urgent queue (the very next
+    // boundary suspends) stays on the per-tick path.
+    const bool preemptive = options_.serving.preemption.enabled;
+    if (perTickOnly_ || st.deferred ||
+        (preemptive && (suspendedCount_ > 0 || st.urgent)))
+        return false;
+    // With no free shard (and none freeing before the bound), no
+    // urgency, and speculation off, an arrival strictly inside the
+    // interval can only enqueue — every routing decision needs a
+    // candidate shard, and none appears until >= B — so arrivals are
+    // absorbed (merged by timestamp, arrival wins ties like the loop's
+    // branch order) instead of capping the interval at one
+    // inter-arrival gap. Preemption disables absorption: an absorbed
+    // arrival could carry an earlier deadline and move the urgency
+    // crossing into the interval's past.
+    const bool absorbArrivals = freeShards_.empty() &&
+                                !options_.speculativeSolve &&
+                                !preemptive;
+    const double bound = quietIntervalBound(st, ev, absorbArrivals);
+    if (ev.tBoundary >= bound)
+        return false;
+
+    // Commit the ticks in (timeSec, shardIdx) order — the per-tick
+    // loop's tie-break (strict <, lowest index wins) — off a min-heap
+    // of the busy shards' next boundaries, firing due samples after
+    // each tick as the loop head would. A shard's calendar entries
+    // are re-synced once, when it leaves the heap: nothing in the
+    // drain reads the calendar.
+    std::vector<std::pair<double, int>> heads;
+    for (const auto& head : boundaryQueue_) {
+        if (head.first >= bound)
+            break;
+        heads.push_back(head);
+    }
+    const auto later = std::greater<std::pair<double, int>>();
+    std::make_heap(heads.begin(), heads.end(), later);
+    auto absorbable = [&]() {
+        return absorbArrivals && st.next < st.trace.size() &&
+               st.trace[st.next].arrivalSec < bound;
+    };
+    while (!heads.empty() || absorbable()) {
+        if (absorbable() && (heads.empty() ||
+                             st.trace[st.next].arrivalSec <=
+                                 heads.front().first)) {
+            st.nowSec = st.trace[st.next].arrivalSec;
+            commitArrival(st);
+            fireSamples(st);
+            continue;
+        }
+        std::pop_heap(heads.begin(), heads.end(), later);
+        const int si = heads.back().second;
+        ReplayExecutor& executor = shards_[si].executor;
+        WindowTick tick = executor.advance();
+        st.nowSec = tick.timeSec;
+        commitTick(st, si, tick);
+        fireSamples(st);
+        if (executor.busy() && executor.nextBoundarySec() < bound) {
+            heads.back().first = executor.nextBoundarySec();
+            std::push_heap(heads.begin(), heads.end(), later);
+        } else {
+            heads.pop_back();
+            syncShard(static_cast<std::size_t>(si));
+        }
+    }
+    return true;
+}
+
+void
+FleetSimulator::boundaryTick(RunState& st, int shardIdx)
+{
+    // Per-tick path: a pending deferral, a parked suspension or
+    // already-urgent queue, or a quiet interval whose bound already
+    // sits at the head boundary (e.g. a shard in its final window, a
+    // join cut, a mid-replay LLM release, an urgency crossing).
+    Shard& sh = shards_[shardIdx];
+    obs::FlightRecorder* const rec = st.rec;
+    WindowTick tick = sh.executor.advance();
+    commitTick(st, shardIdx, tick);
+    // Boundary preemption: an urgent request is waiting, no shard can
+    // take it, and this replay just reached a cut point with windows
+    // still ahead — suspend it here; the next loop iteration
+    // dispatches the urgent batch onto the freed shard. When the tick
+    // ended the dispatch the shard frees naturally (preempting at the
+    // last window is the degenerate no-op), and a shard already
+    // parking a suspended replay is never preempted again (depth 1).
+    if (!tick.dispatchDone && !sh.hasSuspended && urgentQueued(st) &&
+        !anyCandidate(true)) {
+        sh.suspended = sh.executor.suspend();
+        sh.hasSuspended = true;
+        sh.suspendedKey = sh.lastKey;
+        // The remaining windows will be re-charged at resume.
+        sh.busySec -= sh.suspended.remainingSec;
+        ++sh.preemptions;
+        if (rec) {
+            rec->trace().instantVirtual(
+                shardIdx + 1, "preempt", "preemption", tick.timeSec,
+                {obs::argInt("next_window", static_cast<long long>(
+                                                sh.suspended.window)),
+                 obs::argNum("remaining_sec",
+                             sh.suspended.remainingSec)});
+            // suspend() just marked every still-riding request
+            // preempted; tag their lifecycle tracks.
+            for (const BatchGroup& group : sh.suspended.dispatch.groups)
+                for (const Request& req : group.requests)
+                    if (req.preempted)
+                        rec->trace().asyncInstantVirtual(
+                            static_cast<std::uint64_t>(req.id),
+                            "preempted", "request", tick.timeSec);
+            rec->metrics().counter("preemption.suspends").inc();
+        }
+    }
+    // Continuous-batching join cut: waiters queued for the model
+    // decoding on this shard, and the replay just reached a
+    // step-aligned boundary with steps still ahead — cut the round
+    // here (suspend without the preemption mark), credit the riders
+    // with the steps already replayed, and send everyone back to the
+    // decode queue. The next iteration's formDecodeRound forms the
+    // merged round on the freed shard. Riders cannot finish mid-round
+    // (the round's step count never exceeds any rider's remaining
+    // tokens), so all of them re-queue.
+    if (llmEnabled_ && !tick.dispatchDone && !sh.hasSuspended &&
+        sh.executor.busy() &&
+        options_.serving.admission.llmBatching ==
+            LlmBatchingMode::Continuous) {
+        const Dispatch& running = sh.executor.dispatch();
+        const int model = running.llmDecodeSteps > 0
+                              ? running.catalogIdx.front()
+                              : -1;
+        if (model >= 0 && st.admission.decodeQueuedCount(model) > 0 &&
+            (tick.windowIdx + 1) % sh.llmWindowsPerStep == 0) {
+            const int stepsDone =
+                (tick.windowIdx + 1) / sh.llmWindowsPerStep;
+            SuspendedReplay cut = sh.executor.suspend(false);
+            sh.busySec -= cut.remainingSec;
+            --llmStreams_[model];
+            ++llmJoins_;
+            int riders = 0;
+            for (BatchGroup& group : cut.dispatch.groups) {
+                for (Request& req : group.requests) {
+                    if (req.ridingDecodeSteps > 0)
+                        req.generatedTokens += stepsDone;
+                    req.ridingDecodeSteps = 0;
+                    req.completionSec = -1.0;
+                    st.admission.enqueueDecode(req);
+                    ++riders;
+                }
+            }
+            ++st.queueEpoch;
+            if (rec) {
+                rec->trace().instantVirtual(
+                    shardIdx + 1, "decode-join", "llm", tick.timeSec,
+                    {obs::argInt("riders",
+                                 static_cast<long long>(riders)),
+                     obs::argInt("steps_done",
+                                 static_cast<long long>(stepsDone))});
+                rec->metrics().counter("llm.joins").inc();
+            }
+        }
+    }
+    syncShard(static_cast<std::size_t>(shardIdx));
+}
+
+void
+FleetSimulator::fireSamples(RunState& st)
+{
+    // Fixed-interval sampling on the virtual clock. The fleet state is
+    // piecewise-constant between events (sample-and-hold), so the
     // value at each scheduled instant is the value now; rows are
     // stamped with the scheduled time, and the headline series double
     // as ph = C counter tracks in the trace. Fired at the loop head
-    // and after each epoch-committed tick (the serial loop fires a
-    // tick's due samples at the head of the following iteration, so
-    // an epoch commit replays the same interleaving — the sampled
-    // state is provably constant across an epoch's ticks).
-    auto fireSamples = [&]() {
-        while (rec && rec->samples().due(nowSec)) {
-            const double atSec = rec->samples().nextSampleSec();
-            const double queueDepth = admission.queuedCount();
-            int busyShards = 0;
-            for (const Shard& shard : shards_)
-                busyShards += shard.executor.busy() ? 1 : 0;
-            const long long cacheHits =
-                rec->metrics().counter("cache.hits").value();
-            const long long cacheMisses =
-                rec->metrics().counter("cache.misses").value();
-            const double hitRate =
-                cacheHits + cacheMisses > 0
-                    ? static_cast<double>(cacheHits) /
-                          static_cast<double>(cacheHits + cacheMisses)
-                    : 0.0;
-            std::vector<double> row;
-            row.reserve(3 + shards_.size() + catalog_.size());
-            row.push_back(queueDepth);
-            row.push_back(busyShards);
-            row.push_back(hitRate);
-            for (const Shard& shard : shards_)
-                row.push_back(shard.executor.busy() ? 1.0 : 0.0);
-            for (std::size_t m = 0; m < catalog_.size(); ++m)
-                row.push_back(admission.queuedCount(
-                    static_cast<int>(m)));
-            rec->samples().push(row);
-            rec->trace().counterVirtual("queue_depth", atSec,
-                                        queueDepth);
-            rec->trace().counterVirtual("busy_shards", atSec,
-                                        busyShards);
-            rec->trace().counterVirtual("cache_hit_rate", atSec,
-                                        hitRate);
-        }
-    };
-    // One crossed window boundary: the replay span, the completed
-    // requests' records and lifecycle events. Shared verbatim by the
-    // serial boundary branch and the epoch commit so both emit the
-    // exact same byte stream.
-    auto commitTick = [&](int shardIdx, WindowTick& tick) {
-        Shard& sh = shards_[shardIdx];
-        if (rec)
-            rec->trace().completeVirtual(
-                shardIdx + 1,
-                "w" + std::to_string(tick.windowIdx), "replay",
-                sh.traceWindowStartSec,
-                tick.timeSec - sh.traceWindowStartSec,
-                {obs::argInt("window", tick.windowIdx)});
-        sh.traceWindowStartSec = tick.timeSec;
-        // Autoregressive transition. For an LLM request a "completion"
-        // at a window boundary is the end of one prefill or one decode
-        // round, not necessarily the end of the request: unfinished
-        // sequences re-enter the decode queue, and tick.completed is
-        // filtered down to the truly retiring requests before the
-        // generic record loop below. Empty for non-LLM catalogs, so a
-        // run without LLM entries takes the pre-LLM path bit-for-bit.
-        if (llmEnabled_ && !tick.completed.empty()) {
-            // A decode round carries riders stamped by
-            // formDecodeDispatch; at least one is unfinished (a fully
-            // finished group retired at its previous round).
-            bool decodeRound = false;
-            for (const Request& req : tick.completed) {
-                if (req.ridingDecodeSteps > 0) {
-                    decodeRound = true;
-                    break;
-                }
-            }
-            bool allFinished = true;
-            if (decodeRound) {
-                for (Request& req : tick.completed) {
-                    req.generatedTokens += req.ridingDecodeSteps;
-                    req.ridingDecodeSteps = 0;
-                    if (req.generatedTokens < req.outputTokens)
-                        allFinished = false;
-                }
-                if (tick.dispatchDone)
-                    --llmStreams_[tick.completed.front().modelIdx];
-            }
-            const bool lockstep =
-                options_.serving.admission.llmBatching ==
-                LlmBatchingMode::Static;
-            std::vector<Request> retiring;
-            retiring.reserve(tick.completed.size());
-            for (Request& req : tick.completed) {
-                if (!catalog_[req.modelIdx].llm.autoregressive) {
-                    retiring.push_back(std::move(req));
-                    continue;
-                }
-                if (!decodeRound) {
-                    // Prefill completion = the first output token.
-                    req.firstTokenSec = tick.timeSec;
-                    req.generatedTokens = 1;
-                    if (rec)
-                        rec->trace().asyncInstantVirtual(
-                            static_cast<std::uint64_t>(req.id),
-                            "first-token", "request", tick.timeSec);
-                }
-                const bool finished =
-                    req.generatedTokens >= req.outputTokens;
-                // Static decode batches retire in lockstep: finished
-                // members ride as padding until the whole batch is
-                // done.
-                if (finished &&
-                    (!decodeRound || !lockstep || allFinished)) {
-                    retiring.push_back(std::move(req));
-                    continue;
-                }
-                req.completionSec = -1.0;
-                admission.enqueueDecode(req);
-                ++queueEpoch;
-            }
-            tick.completed = std::move(retiring);
-        }
-        for (Request& req : tick.completed) {
-            records_.push_back(req);
-            if (rec) {
-                const std::string& model =
-                    catalog_[req.modelIdx].model.name;
-                const double queueSec =
-                    req.dispatchSec - req.arrivalSec;
-                const double execSec =
-                    req.completionSec - req.dispatchSec;
-                rec->trace().asyncEndVirtual(
-                    static_cast<std::uint64_t>(req.id),
-                    "req " + model, "request", tick.timeSec,
-                    {obs::argNum("latency_sec", req.latencySec()),
-                     obs::argNum("queue_sec", queueSec),
-                     obs::argNum("exec_sec", execSec),
-                     obs::argBool("slo_violated", req.sloViolated()),
-                     obs::argBool("preempted", req.preempted)});
-                rec->metrics().counter("requests.completed").inc();
-                if (req.sloViolated())
-                    rec->metrics()
-                        .counter("requests.slo_violations")
-                        .inc();
-                rec->metrics()
-                    .histogram("latency_sec")
-                    .record(req.latencySec());
-                rec->metrics()
-                    .histogram("queue_wait_sec")
-                    .record(queueSec);
-                rec->metrics()
-                    .histogram("exec_sec")
-                    .record(execSec);
-            }
-        }
-    };
-    // Admits the next trace arrival: shared by the serial arrival
-    // branch and the epoch drain (which absorbs arrivals that can
-    // only enqueue). Timestamps come from the request itself, so the
-    // rendered trace is identical on either path.
-    auto commitArrival = [&]() {
-        admission.enqueue(trace[next]);
-        if (rec) {
-            const Request& req = trace[next];
-            const std::string& model =
-                catalog_[req.modelIdx].model.name;
-            std::vector<obs::TraceArg> args{
-                obs::argText("model", model)};
-            if (req.deadlineSec < kInf)
-                args.push_back(
-                    obs::argNum("deadline_sec", req.deadlineSec));
-            rec->trace().asyncBeginVirtual(
-                static_cast<std::uint64_t>(req.id), "req " + model,
-                "request", req.arrivalSec, std::move(args));
-            rec->metrics().counter("requests.arrived").inc();
-        }
-        ++next;
-        ++queueEpoch;
-    };
-    while (next < trace.size() || admission.queuedCount() > 0 ||
-           (llmEnabled_ && admission.decodeQueuedCount() > 0) ||
-           anyBusyOrPending()) {
-        fireSamples();
-
-        // Urgency is loop-invariant within one event iteration
-        // (nothing below changes the queues before the next event),
-        // so the O(queued) deadline scan runs once per iteration.
-        const bool urgent = urgentQueued(nowSec);
-
-        // 0. Resume suspended replays on idle shards. While an urgent
-        // request is queued the shard stays reserved for it (that is
-        // what it was preempted for — and serving a back-to-back
-        // urgent batch before resuming avoids a pointless
-        // resume/re-preempt cycle); the moment urgency clears, the
-        // preempted replay continues from its cursor.
-        bool resumed = false;
-        if (suspendedCount_ > 0) {
-            for (Shard& shard : shards_) {
-                if (!shard.hasSuspended || shard.executor.busy() ||
-                    shard.hasPending || urgent)
-                    continue;
-                resumeSuspended(shard, nowSec);
-                syncShard(static_cast<std::size_t>(&shard -
-                                                   shards_.data()));
-                resumed = true;
-            }
-        }
-        if (resumed)
-            continue;
-
-        // 1. Start parked dispatches whose schedule is usable now.
-        // The pending queue holds exactly the parked-idle shards
-        // keyed by ready instant, so the due set is its prefix; the
-        // serial loop visited shards in index order, so sort the due
-        // indices before starting them (start order fixes the trace
-        // event order and the switch-overhead charging instant).
-        bool started = false;
-        std::vector<int> dueIdx;
-        for (const auto& [readySec, si] : pendingQueue_) {
-            if (readySec > nowSec)
-                break;
-            dueIdx.push_back(si);
-        }
-        std::sort(dueIdx.begin(), dueIdx.end());
-        for (const int si : dueIdx) {
-            Shard& shard = shards_[si];
-            // Wall-clock join: blocks only if the background solve is
-            // still running; the virtual clock is unaffected. Cache
-            // hits parked their schedule at lookup time.
-            auto schedule =
-                shard.pendingSchedule != nullptr
-                    ? std::move(shard.pendingSchedule)
-                    : shard.cache->join(shard.pendingKey);
-            // A decode round replays the cached *one-step* schedule
-            // llmDecodeSteps times; the cache key stays the one-step
-            // signature so every round of the same (context bucket,
-            // batch) shares one cached solve. llmWindowsPerStep marks
-            // the step-aligned boundaries for the join cut.
-            if (shard.pending.llmDecodeSteps > 0) {
-                shard.llmWindowsPerStep =
-                    static_cast<int>(schedule->windowSec.size());
-                if (shard.pending.llmDecodeSteps > 1)
-                    schedule = repeatSchedule(
-                        schedule, shard.pending.llmDecodeSteps);
-            } else {
-                shard.llmWindowsPerStep = 1;
-            }
-            double startSec = nowSec;
-            if (!shard.lastKey.empty() &&
-                shard.lastKey != shard.pendingKey &&
-                options_.serving.switchOverheadSec > 0.0) {
-                startSec += options_.serving.switchOverheadSec;
-                shard.switchOverheadSec +=
-                    options_.serving.switchOverheadSec;
-                if (rec)
-                    rec->trace().completeVirtual(
-                        static_cast<int>(&shard - shards_.data()) + 1,
-                        "switch", "overhead", nowSec,
-                        options_.serving.switchOverheadSec);
-            }
-            if (rec) {
-                for (const BatchGroup& group : shard.pending.groups)
-                    for (const Request& req : group.requests)
-                        rec->trace().asyncInstantVirtual(
-                            static_cast<std::uint64_t>(req.id),
-                            "dispatch", "request", startSec);
-            }
-            shard.busySec += schedule->makespanSec;
-            shard.busyUntilSec = startSec + schedule->makespanSec;
-            shard.traceWindowStartSec = startSec;
-            shard.lastKey = shard.pendingKey;
-            shard.executor.start(std::move(schedule),
-                                 std::move(shard.pending), startSec);
-            shard.hasPending = false;
-            shard.pendingKey.clear();
-            shard.pendingSchedule.reset();
-            syncShard(static_cast<std::size_t>(si));
-            started = true;
-        }
-        if (started)
-            continue;
-
-        // 1.5 Decode rounds: a free shard and decode-queue waiters
-        // form a single-model decode dispatch with no batching timer
-        // (generation cadence dominates; a waiting sequence is never
-        // better off idle). Runs before step 2 so decode streams keep
-        // their cadence against competing prefill batches. Waiters
-        // appear only at commitTick (prefill completion, round end or
-        // join cut), so the very next loop iteration sees them here —
-        // the event calendar needs no extra timer for decode work.
-        if (llmEnabled_ && !freeShards_.empty() &&
-            admission.decodeQueuedCount() > 0) {
-            const bool continuous =
-                options_.serving.admission.llmBatching ==
-                LlmBatchingMode::Continuous;
-            int decodeModel = -1;
-            for (std::size_t m = 0; m < catalog_.size(); ++m) {
-                const int waiters =
-                    admission.decodeQueuedCount(static_cast<int>(m));
-                if (waiters == 0)
-                    continue;
-                // Continuous batching holds waiters for the running
-                // stream's next step boundary (join cut) instead of
-                // opening a rival round — unless a full batch is
-                // already waiting, which earns its own stream.
-                if (continuous && llmStreams_[m] > 0 &&
-                    waiters < catalog_[m].model.batch)
-                    continue;
-                decodeModel = static_cast<int>(m);
-                break;
-            }
-            if (decodeModel >= 0) {
-                const Scenario peeked =
-                    admission.peekDecodeMix(decodeModel);
-                const std::string sig = peeked.signature();
-                const int target = routeDispatch(
-                    sig, peeked, nowSec, /*allowDefer=*/false,
-                    /*urgent=*/false);
-                SCAR_ASSERT(target >= 0,
-                            "fleet: decode round found no shard with "
-                            "free shards available");
-                ++queueEpoch;
-                Dispatch dispatch =
-                    admission.formDecodeDispatch(decodeModel);
-                SCAR_ASSERT(dispatch.mix.signature() == sig,
-                            "fleet: decode dispatch mix diverged "
-                            "from the routed peek");
-                // Decode rounds do not add padded slots: occupancy
-                // stays a prefill-batching metric, and each request
-                // would otherwise be charged once per round. Decode
-                // batch fill is reported as llmMeanDecodeBatch.
-                ++llmStreams_[decodeModel];
-                ++llmDecodeRounds_;
-                llmBoardedSum_ += static_cast<long>(
-                    dispatch.groups.front().requests.size());
-                Shard& shard = shards_[target];
-                const std::string key =
-                    cacheKey(sig, static_cast<std::size_t>(target));
-                const AsyncLookup found = shard.cache->lookup(
-                    key, dispatch.mix, computes[target], nowSec,
-                    options_.serving.modeledSolveSec);
-                double endSec = found.readySec;
-                if (!shard.lastKey.empty() && shard.lastKey != key)
-                    endSec += options_.serving.switchOverheadSec;
-                // One-step makespan times the round's step count.
-                endSec +=
-                    (found.schedule != nullptr
-                         ? found.schedule->makespanSec
-                         : estimateMakespanKeyed(
-                               key,
-                               static_cast<std::size_t>(target),
-                               dispatch.mix)) *
-                    dispatch.llmDecodeSteps;
-                shard.hasPending = true;
-                shard.pending = std::move(dispatch);
-                shard.pendingKey = key;
-                shard.pendingReadySec = found.readySec;
-                shard.pendingEndSec = endSec;
-                shard.pendingSchedule = found.schedule;
-                syncShard(static_cast<std::size_t>(target));
-                shard.solveStallSec +=
-                    std::max(0.0, found.readySec - nowSec);
-                if (rec) {
-                    const int tid = target + 1;
-                    const bool hit = !found.startedSolve;
-                    rec->trace().instantVirtual(
-                        tid, hit ? "cache-hit" : "cache-miss",
-                        "cache", nowSec, {obs::argText("mix", sig)});
-                    rec->metrics()
-                        .counter(hit ? "cache.hits" : "cache.misses")
-                        .inc();
-                    rec->metrics().counter("dispatches.decode").inc();
-                    if (found.readySec > nowSec)
-                        rec->trace().completeVirtual(
-                            tid, "solve-stall", "stall", nowSec,
-                            found.readySec - nowSec,
-                            {obs::argText("mix", sig)});
-                }
-                continue;
-            }
-        }
-
-        // 2. Free shard + ready batch: route, then form and park a
-        // dispatch. Routing happens on the peeked mix *before* the
-        // queues are consumed so BestFit can defer: when an occupied
-        // shard's projected completion beats every idle candidate,
-        // the batch stays queued and is re-routed at the next event
-        // (typically when the preferred shard frees up).
-        bool deferred = false;
-        // Speculative partial dispatch: with the flag set, a shard
-        // that would otherwise idle claims whatever is queued right
-        // now instead of waiting out the batching timer.
-        const bool partialReady =
-            options_.serving.admission.speculativePartialDispatch &&
-            admission.queuedCount() > 0 && !freeShards_.empty();
-        if ((admission.ready(nowSec) || urgent || partialReady) &&
-            anyCandidate(urgent)) {
-            // An urgent batch boards only the models holding an
-            // urgent request (shortest possible fast lane) and is
-            // dispatchable regardless of batch-fill / aging state.
-            const Scenario peeked =
-                urgent ? admission.peekUrgentMix(
-                             nowSec, preemption.slackThresholdSec)
-                       : admission.peekMix();
-            const std::string sig = peeked.signature();
-            // Overflow check: padded dispatch batches cover every
-            // queued request unless some queue exceeded its cap, in
-            // which case requests stay behind and deferral would
-            // starve the fleet's throughput.
-            int batchSlots = 0;
-            for (const Model& model : peeked.models)
-                batchSlots += model.batch;
-            // Never defer an urgent dispatch: it exists because some
-            // request cannot afford to wait for a better package.
-            const bool allowDefer =
-                options_.bestFitDefer && !urgent &&
-                admission.queuedCount() <= batchSlots;
-            const int target =
-                routeDispatch(sig, peeked, nowSec, allowDefer, urgent);
-            if (target < 0) {
-                deferred = true;
-            } else {
-                ++queueEpoch;
-                Dispatch dispatch =
-                    urgent ? admission.formUrgentDispatch(
-                                 nowSec, preemption.slackThresholdSec)
-                           : admission.formDispatch(nowSec);
-                SCAR_ASSERT(dispatch.mix.signature() == sig,
-                            "fleet: dispatch mix diverged from the "
-                            "routed peek");
-                for (const BatchGroup& group : dispatch.groups)
-                    paddedSlots += group.batch;
-                Shard& shard = shards_[target];
-                const std::string key =
-                    cacheKey(sig, static_cast<std::size_t>(target));
-                const AsyncLookup found = shard.cache->lookup(
-                    key, dispatch.mix, computes[target], nowSec,
-                    options_.serving.modeledSolveSec);
-                double endSec = found.readySec;
-                if (!shard.lastKey.empty() && shard.lastKey != key)
-                    endSec += options_.serving.switchOverheadSec;
-                endSec +=
-                    found.schedule != nullptr
-                        ? found.schedule->makespanSec
-                        : estimateMakespanKeyed(
-                              key, static_cast<std::size_t>(target),
-                              dispatch.mix);
-                shard.hasPending = true;
-                shard.pending = std::move(dispatch);
-                shard.pendingKey = key;
-                shard.pendingReadySec = found.readySec;
-                shard.pendingEndSec = endSec;
-                shard.pendingSchedule = found.schedule;
-                syncShard(static_cast<std::size_t>(target));
-                shard.solveStallSec +=
-                    std::max(0.0, found.readySec - nowSec);
-                if (rec) {
-                    const int tid = target + 1;
-                    // lookup() counts joining an in-flight solve as a
-                    // hit; only a lookup that launched the solve is a
-                    // miss (matches ScheduleCacheStats).
-                    const bool hit = !found.startedSolve;
-                    rec->trace().instantVirtual(
-                        tid, hit ? "cache-hit" : "cache-miss",
-                        "cache", nowSec, {obs::argText("mix", sig)});
-                    rec->metrics()
-                        .counter(hit ? "cache.hits" : "cache.misses")
-                        .inc();
-                    rec->metrics()
-                        .counter(urgent ? "dispatches.urgent"
-                                        : "dispatches.regular")
-                        .inc();
-                    if (found.readySec > nowSec)
-                        rec->trace().completeVirtual(
-                            tid, "solve-stall", "stall", nowSec,
-                            found.readySec - nowSec,
-                            {obs::argText("mix", sig)});
-                }
-                continue;
-            }
-        }
-        if (deferred && rec)
-            rec->metrics().counter("routing.deferrals").inc();
-
-        // 3. Ready batch but every shard occupied: solve the would-be
-        // mix in the background so the search overlaps the replays.
-        // Only worthwhile when solves cost virtual time — with a free
-        // (modeledSolveSec = 0) solve there is no stall to hide, and
-        // speculating on transient peek mixes would just burn extra
-        // searches and distort the hit-rate counters.
-        if (options_.speculativeSolve &&
-            options_.serving.modeledSolveSec > 0.0 &&
-            (admission.ready(nowSec) || urgent) &&
-            queueEpoch != lastSpeculativeEpoch) {
-            lastSpeculativeEpoch = queueEpoch;
-            // Under urgency the next dispatch out is the urgent mix,
-            // so that is the schedule worth warming.
-            const Scenario peeked =
-                urgent ? admission.peekUrgentMix(
-                             nowSec, preemption.slackThresholdSec)
-                       : admission.peekMix();
-            const std::string peekedSig = peeked.signature();
-            const int target =
-                speculationTarget(peekedSig, peeked, nowSec, urgent);
-            if (target >= 0) {
-                shards_[target].cache->prefetch(
-                    cacheKey(peekedSig,
-                             static_cast<std::size_t>(target)),
-                    peeked, computes[target],
-                    nowSec + options_.serving.modeledSolveSec);
-                if (rec) {
-                    rec->trace().instantVirtual(
-                        target + 1, "speculative-solve", "cache",
-                        nowSec, {obs::argText("mix", peekedSig)});
-                    rec->metrics()
-                        .counter("solves.speculative")
-                        .inc();
-                }
-            }
-        }
-
-        // 4. Advance the virtual clock to the next event. The
-        // calendar's ordered sets hand over each next-event time in
-        // O(log N); the boundary head ties exactly like the old scan
-        // (strict <, so the lowest shard index wins equal times —
-        // set order is (time, idx)).
-        const double tArrival =
-            next < trace.size() ? trace[next].arrivalSec : kInf;
-        double tBoundary = kInf;
-        int boundaryShard = -1;
-        if (!boundaryQueue_.empty()) {
-            tBoundary = boundaryQueue_.begin()->first;
-            boundaryShard = boundaryQueue_.begin()->second;
-        }
-        const double tPending = !pendingQueue_.empty()
-                                    ? pendingQueue_.begin()->first
-                                    : kInf;
-        // The batching timer only matters while a shard can accept a
-        // dispatch: busy shards dispatch as soon as they free up. A
-        // deferred batch is already past its timer — its next chance
-        // is a state change (boundary / solve-ready / arrival), and
-        // re-arming the elapsed timer would spin the loop in place.
-        const double tTimer =
-            (!deferred && anyCandidate(false) &&
-             admission.queuedCount() > 0)
-                ? admission.nextForcedDispatchSec()
-                : kInf;
-        // Urgency timer: the instant the next queued request's slack
-        // crosses the preemption threshold, an urgent dispatch can
-        // claim an idle shard without waiting for batch fill or the
-        // forced-dispatch timer. Only armed while a candidate exists
-        // (with none, the urgent batch's next chance is a window
-        // boundary — where the preemptor acts — so boundary events
-        // already cover it) and while not already urgent (step 2
-        // either dispatched or, with no candidate, boundaries drive
-        // progress; re-arming an elapsed instant would spin).
-        const double tUrgent =
-            (preemption.enabled && !urgent &&
-             admission.queuedCount() > 0 && anyCandidate(true))
-                ? admission.earliestDeadlineSec() -
-                      preemption.slackThresholdSec
-                : kInf;
-
-        const double tNext = std::min(
-            {tArrival, tBoundary, tPending, tTimer, tUrgent});
-        SCAR_REQUIRE(tNext < kInf,
-                     "fleet: event loop stalled with ",
-                     admission.queuedCount(), " queued requests");
-        nowSec = std::max(nowSec, tNext);
-
-        if (tArrival <= tBoundary && tArrival <= tPending &&
-            tArrival <= tTimer && tArrival <= tUrgent) {
-            commitArrival();
-        } else if (tBoundary <= tPending && tBoundary <= tTimer &&
-                   tBoundary <= tUrgent) {
-            // Epoch drain. The serial loop's steps 0-3 are provably
-            // no-ops strictly before the conservative bound B — the
-            // min over every next-possible-routing-decision term
-            // (docs/ARCHITECTURE.md tabulates each with its proof
-            // sketch):
-            //  - no suspension is parked (the gate below), so step 0
-            //    never fires;
-            //  - no parked schedule comes due before tPending >= B;
-            //  - no shard frees mid-epoch (a dispatch-done tick lands
-            //    at its final boundary >= B), so the candidate set is
-            //    frozen and steps 1.5/2 cannot dispatch before the
-            //    timer or an arrival, both >= B;
-            //  - step 3 already speculated on the current queue
-            //    epoch, or the guard caps B at the forced-dispatch
-            //    instant where ready() could newly turn true;
-            //  - under preemption, B <= the next urgency crossing U:
-            //    for every tick t < U the per-tick urgency predicate
-            //    (t >= deadline - slack, the same FP expression as
-            //    U) is false bit-for-bit, so the preempt check after
-            //    each committed tick is a no-op — and the queued
-            //    deadlines cannot change inside the epoch because
-            //    arrivals are never absorbed under preemption;
-            //  - on LLM fleets, B stops strictly before the earliest
-            //    step-aligned boundary where a decode round with
-            //    already-queued waiters could take a join cut, and
-            //    before the earliest mid-replay autoregressive
-            //    completion (it enqueues decode waiters, moving the
-            //    decode queues / queue epoch) — so decode queues,
-            //    llmStreams_, and the join-cut predicate stay frozen
-            //    across every committed tick, and the per-tick join
-            //    check is a provable no-op.
-            // So every window tick strictly before B commits with no
-            // interleaved routing decision, and the busy shards can
-            // drain their tick runs in parallel. Commit order — a
-            // k-way merge on (timeSec, shardIdx) — replays the serial
-            // scan's tie-break (strict <, lowest index wins, one
-            // shard's equal-time run drains contiguously), and the
-            // sample block fires after each tick exactly like the
-            // serial loop head does, so report, metrics, and trace
-            // come out byte-identical at any engine-thread count.
-            bool epochDone = false;
-            // Per-event serial fallbacks: a deferred dispatch
-            // re-routes after every tick, and a preemptive fleet
-            // with a parked suspension (step 0 resumes re-check
-            // per tick) or an already-urgent queue (the very next
-            // boundary suspends) stays on the single-tick path.
-            if (!deferred &&
-                (!preemption.enabled ||
-                 (suspendedCount_ == 0 && !urgent))) {
-                // With no free shard (and none freeing before the
-                // bound), no urgency, and speculation off, an
-                // arrival strictly inside the epoch can only
-                // enqueue — every routing decision needs a candidate
-                // shard, and none appears until >= bound — so
-                // arrivals are absorbed into the commit stream
-                // (merged by timestamp, arrival wins ties like the
-                // serial branch order) instead of capping the epoch.
-                // This is what lets a saturated fleet's epochs span
-                // whole replay windows rather than one inter-arrival
-                // gap. Preemption disables absorption: an absorbed
-                // arrival could carry an earlier deadline and move
-                // the urgency crossing into the epoch's past.
-                const bool absorbArrivals =
-                    freeShards_.empty() &&
-                    !options_.speculativeSolve &&
-                    !preemption.enabled;
-                // Fold the bound terms cheapest-first, remembering
-                // which term capped the epoch (ties keep the first —
-                // the attribution priority in EpochBoundTerm order).
-                double bound = kInf;
-                int cap = kEpochCapReplayEnd;
-                auto consider = [&](double t, int term) {
-                    if (t < bound) {
-                        bound = t;
-                        cap = term;
-                    }
-                };
-                if (!busyEndQueue_.empty())
-                    consider(busyEndQueue_.begin()->first,
-                             kEpochCapReplayEnd);
-                consider(tPending, kEpochCapParked);
-                if (!absorbArrivals)
-                    consider(tArrival, kEpochCapArrival);
-                consider(tTimer, kEpochCapTimer);
-                if (options_.speculativeSolve &&
-                    options_.serving.modeledSolveSec > 0.0 &&
-                    admission.queuedCount() > 0 &&
-                    queueEpoch != lastSpeculativeEpoch)
-                    consider(admission.nextForcedDispatchSec(),
-                             kEpochCapSpeculation);
-                // Preemption-aware term: the next urgency crossing,
-                // on the same FP expression as the urgency timer —
-                // unconditioned on candidate availability, because a
-                // crossing is a routing decision either way (with a
-                // candidate step 2 dispatches the urgent batch; with
-                // none the next boundary tick suspends a replay).
-                if (preemption.enabled &&
-                    admission.queuedCount() > 0)
-                    consider(admission.earliestDeadlineSec() -
-                                 preemption.slackThresholdSec,
-                             kEpochCapUrgency);
-                // Join-aware LLM terms, per busy shard.
-                if (llmEnabled_) {
-                    const bool continuous =
-                        options_.serving.admission.llmBatching ==
-                        LlmBatchingMode::Continuous;
-                    for (const auto& [tb, si] : boundaryQueue_) {
-                        (void)tb;
-                        const Shard& sh = shards_[si];
-                        const Dispatch& running =
-                            sh.executor.dispatch();
-                        if (running.llmDecodeSteps > 0) {
-                            // Decode round: riders retire only at
-                            // the round's final boundary — the
-                            // replay-end term already covers that
-                            // slot release — so the in-epoch hazard
-                            // is a join cut at the next step-aligned
-                            // boundary once waiters are queued for
-                            // the round's model.
-                            if (continuous &&
-                                admission.decodeQueuedCount(
-                                    running.catalogIdx.front()) > 0)
-                                consider(
-                                    sh.executor.nextStepBoundarySec(
-                                        sh.llmWindowsPerStep),
-                                    kEpochCapJoin);
-                        } else {
-                            // Prefill/mixed replay: an autoregressive
-                            // group completing mid-replay enqueues
-                            // decode waiters (commitTick bumps the
-                            // decode queue and the queue epoch — a
-                            // routing-decision source), so the bound
-                            // stops strictly before the earliest
-                            // such completion.
-                            consider(
-                                sh.executor.earliestGroupEndSec(
-                                    [&](std::size_t m) {
-                                        return catalog_
-                                            [running.catalogIdx[m]]
-                                                .llm.autoregressive;
-                                    }),
-                                kEpochCapRelease);
-                        }
-                    }
-                }
-                if (tBoundary < bound) {
-                    // Only the prefix with a next boundary inside the
-                    // epoch has ticks to drain.
-                    std::vector<int> busyIdx;
-                    for (const auto& [t, si] : boundaryQueue_) {
-                        if (t >= bound)
-                            break;
-                        busyIdx.push_back(si);
-                    }
-                    std::vector<std::vector<WindowTick>> ticks(
-                        busyIdx.size());
-                    auto drainOne = [&](std::size_t i) {
-                        shards_[busyIdx[i]].executor.drainUntil(
-                            bound, ticks[i]);
-                    };
-                    if (enginePool_ != nullptr && busyIdx.size() > 1)
-                        enginePool_->parallelFor(busyIdx.size(),
-                                                 drainOne);
-                    else
-                        for (std::size_t i = 0; i < busyIdx.size();
-                             ++i)
-                            drainOne(i);
-                    // Merge-commit on the event thread.
-                    std::set<std::tuple<double, int, std::size_t>>
-                        heads;
-                    std::vector<std::size_t> cur(busyIdx.size(), 0);
-                    std::size_t committed = 0;
-                    for (std::size_t i = 0; i < busyIdx.size(); ++i)
-                        if (!ticks[i].empty())
-                            heads.insert({ticks[i].front().timeSec,
-                                          busyIdx[i], i});
-                    while (!heads.empty() ||
-                           (absorbArrivals && next < trace.size() &&
-                            trace[next].arrivalSec < bound)) {
-                        const double tTick =
-                            heads.empty()
-                                ? kInf
-                                : std::get<0>(*heads.begin());
-                        if (absorbArrivals && next < trace.size() &&
-                            trace[next].arrivalSec < bound &&
-                            trace[next].arrivalSec <= tTick) {
-                            nowSec = trace[next].arrivalSec;
-                            commitArrival();
-                            fireSamples();
-                            ++epochStats_.absorbedArrivals;
-                            continue;
-                        }
-                        const auto [t, si, i] = *heads.begin();
-                        heads.erase(heads.begin());
-                        // Batched commit: every consecutive tick of
-                        // this shard that precedes the next other-
-                        // shard head in (timeSec, shardIdx) order —
-                        // and any absorbable arrival — commits as
-                        // one run without re-touching the merge set.
-                        // The committed sequence is exactly the
-                        // per-tick merge's (the loop conditions
-                        // replicate the set's ordering and the
-                        // arrival-wins-ties branch above), so
-                        // artifacts stay byte-identical; what
-                        // batching removes is the per-tick
-                        // erase/insert — the serial commit work the
-                        // saturated shard sweep decays on.
-                        double tOther = kInf;
-                        int siOther =
-                            std::numeric_limits<int>::max();
-                        if (!heads.empty()) {
-                            tOther = std::get<0>(*heads.begin());
-                            siOther = std::get<1>(*heads.begin());
-                        }
-                        long batch = 0;
-                        for (;;) {
-                            WindowTick& tick = ticks[i][cur[i]];
-                            ++cur[i];
-                            ++batch;
-                            nowSec = tick.timeSec;
-                            commitTick(si, tick);
-                            fireSamples();
-                            ++committed;
-                            if (cur[i] >= ticks[i].size())
-                                break;
-                            const double tn =
-                                ticks[i][cur[i]].timeSec;
-                            if (tn > tOther ||
-                                (tn == tOther && si > siOther))
-                                break;
-                            if (absorbArrivals &&
-                                next < trace.size() &&
-                                trace[next].arrivalSec < bound &&
-                                trace[next].arrivalSec <= tn)
-                                break;
-                        }
-                        if (cur[i] < ticks[i].size())
-                            heads.insert(
-                                {ticks[i][cur[i]].timeSec, si, i});
-                        ++epochStats_.commitBatches;
-                        epochStats_.maxCommitBatch = std::max(
-                            epochStats_.maxCommitBatch, batch);
-                        if (rec)
-                            rec->metrics()
-                                .histogram("epoch.commit_batch",
-                                           {1.0, 2.0, 16})
-                                .record(static_cast<double>(batch));
-                    }
-                    if (committed > 0) {
-                        for (const int si : busyIdx)
-                            syncShard(static_cast<std::size_t>(si));
-                        epochDone = true;
-                        ++epochStats_.epochs;
-                        epochStats_.ticks +=
-                            static_cast<long>(committed);
-                        ++epochStats_.caps[cap];
-                    }
-                }
-            }
-            if (!epochDone) {
-                // Single-tick path: a pending deferral, a parked
-                // suspension or already-urgent queue, or an epoch
-                // whose bound already sits at the head boundary
-                // (e.g. a shard in its final window, a join cut, a
-                // mid-replay LLM release, an urgency crossing).
-                Shard& sh = shards_[boundaryShard];
-                WindowTick tick = sh.executor.advance();
-                commitTick(boundaryShard, tick);
-                // Boundary preemption: an urgent request is waiting,
-                // no shard can take it, and this replay just reached
-                // a cut point with windows still ahead — suspend it
-                // here; the next loop iteration dispatches the urgent
-                // batch onto the freed shard. When the tick ended the
-                // dispatch the shard frees naturally (preempting at
-                // the last window is the degenerate no-op), and a
-                // shard already parking a suspended replay is never
-                // preempted again (depth 1).
-                if (!tick.dispatchDone && !sh.hasSuspended &&
-                    urgentQueued(nowSec) && !anyCandidate(true)) {
-                    sh.suspended = sh.executor.suspend();
-                    sh.hasSuspended = true;
-                    sh.suspendedKey = sh.lastKey;
-                    // The remaining windows will be re-charged at
-                    // resume.
-                    sh.busySec -= sh.suspended.remainingSec;
-                    ++sh.preemptions;
-                    if (rec) {
-                        rec->trace().instantVirtual(
-                            boundaryShard + 1, "preempt",
-                            "preemption", tick.timeSec,
-                            {obs::argInt("next_window",
-                                         static_cast<long long>(
-                                             sh.suspended.window)),
-                             obs::argNum(
-                                 "remaining_sec",
-                                 sh.suspended.remainingSec)});
-                        // suspend() just marked every still-riding
-                        // request preempted; tag their lifecycle
-                        // tracks.
-                        for (const BatchGroup& group :
-                             sh.suspended.dispatch.groups)
-                            for (const Request& req : group.requests)
-                                if (req.preempted)
-                                    rec->trace().asyncInstantVirtual(
-                                        static_cast<std::uint64_t>(
-                                            req.id),
-                                        "preempted", "request",
-                                        tick.timeSec);
-                        rec->metrics()
-                            .counter("preemption.suspends")
-                            .inc();
-                    }
-                }
-                // Continuous-batching join cut: waiters queued for the
-                // model decoding on this shard, and the replay just
-                // reached a step-aligned boundary with steps still
-                // ahead — cut the round here (suspend without the
-                // preemption mark), credit the riders with the steps
-                // already replayed, and send everyone back to the
-                // decode queue. The next iteration's step 1.5 forms
-                // the merged round on the freed shard. Riders cannot
-                // finish mid-round (the round's step count never
-                // exceeds any rider's remaining tokens), so all of
-                // them re-queue.
-                if (llmEnabled_ && !tick.dispatchDone &&
-                    !sh.hasSuspended && sh.executor.busy() &&
-                    options_.serving.admission.llmBatching ==
-                        LlmBatchingMode::Continuous) {
-                    const Dispatch& running = sh.executor.dispatch();
-                    const int model = running.llmDecodeSteps > 0
-                                          ? running.catalogIdx.front()
-                                          : -1;
-                    if (model >= 0 &&
-                        admission.decodeQueuedCount(model) > 0 &&
-                        (tick.windowIdx + 1) % sh.llmWindowsPerStep ==
-                            0) {
-                        const int stepsDone =
-                            (tick.windowIdx + 1) /
-                            sh.llmWindowsPerStep;
-                        SuspendedReplay cut =
-                            sh.executor.suspend(false);
-                        sh.busySec -= cut.remainingSec;
-                        --llmStreams_[model];
-                        ++llmJoins_;
-                        int riders = 0;
-                        for (BatchGroup& group : cut.dispatch.groups) {
-                            for (Request& req : group.requests) {
-                                if (req.ridingDecodeSteps > 0)
-                                    req.generatedTokens += stepsDone;
-                                req.ridingDecodeSteps = 0;
-                                req.completionSec = -1.0;
-                                admission.enqueueDecode(req);
-                                ++riders;
-                            }
-                        }
-                        ++queueEpoch;
-                        if (rec) {
-                            rec->trace().instantVirtual(
-                                boundaryShard + 1, "decode-join",
-                                "llm", tick.timeSec,
-                                {obs::argInt(
-                                     "riders",
-                                     static_cast<long long>(riders)),
-                                 obs::argInt(
-                                     "steps_done",
-                                     static_cast<long long>(
-                                         stepsDone))});
-                            rec->metrics()
-                                .counter("llm.joins")
-                                .inc();
-                        }
-                    }
-                }
-                syncShard(static_cast<std::size_t>(boundaryShard));
-            }
-        }
-        // Pending-ready, timer, and urgency events need no action
-        // beyond advancing the clock: the loop head fires next
-        // iteration.
+    // and after each tick a quiet-interval drain commits (the per-tick
+    // loop fires a tick's due samples at the head of the following
+    // iteration, so the drain replays the same interleaving — the
+    // sampled state is provably constant across the interval).
+    obs::FlightRecorder* const rec = st.rec;
+    while (rec && rec->samples().due(st.nowSec)) {
+        const double atSec = rec->samples().nextSampleSec();
+        const double queueDepth = st.admission.queuedCount();
+        int busyShards = 0;
+        for (const Shard& shard : shards_)
+            busyShards += shard.executor.busy() ? 1 : 0;
+        const long long cacheHits =
+            rec->metrics().counter("cache.hits").value();
+        const long long cacheMisses =
+            rec->metrics().counter("cache.misses").value();
+        const double hitRate =
+            cacheHits + cacheMisses > 0
+                ? static_cast<double>(cacheHits) /
+                      static_cast<double>(cacheHits + cacheMisses)
+                : 0.0;
+        std::vector<double> row;
+        row.reserve(3 + shards_.size() + catalog_.size());
+        row.push_back(queueDepth);
+        row.push_back(busyShards);
+        row.push_back(hitRate);
+        for (const Shard& shard : shards_)
+            row.push_back(shard.executor.busy() ? 1.0 : 0.0);
+        for (std::size_t m = 0; m < catalog_.size(); ++m)
+            row.push_back(
+                st.admission.queuedCount(static_cast<int>(m)));
+        rec->samples().push(row);
+        rec->trace().counterVirtual("queue_depth", atSec, queueDepth);
+        rec->trace().counterVirtual("busy_shards", atSec, busyShards);
+        rec->trace().counterVirtual("cache_hit_rate", atSec, hitRate);
     }
+}
 
+ServingReport
+FleetSimulator::summarize(RunState& st)
+{
     // Promote stray speculative solves so stats and cache sizes are
     // settled (and no background work bleeds past the run).
     for (const auto& cache : caches_)
@@ -2092,9 +1936,9 @@ FleetSimulator::run(const std::vector<Request>& trace)
         delta.evictions += s.evictions;
         cachedMixes += static_cast<long>(cache->size());
     }
-    delta.hits -= before.hits;
-    delta.misses -= before.misses;
-    delta.evictions -= before.evictions;
+    delta.hits -= st.cacheBefore.hits;
+    delta.misses -= st.cacheBefore.misses;
+    delta.evictions -= st.cacheBefore.evictions;
 
     long dispatches = 0;
     for (const Shard& shard : shards_)
@@ -2106,8 +1950,8 @@ FleetSimulator::run(const std::vector<Request>& trace)
     for (const ServedModel& sm : catalog_)
         modelNames.push_back(sm.model.name);
     ServingReport report = summarizeServing(
-        records_, static_cast<long>(trace.size()), dispatches,
-        paddedSlots, delta, cachedMixes, modelNames, enginePool_);
+        records_, static_cast<long>(st.trace.size()), dispatches,
+        st.paddedSlots, delta, cachedMixes, modelNames);
     for (std::size_t s = 0; s < shards_.size(); ++s) {
         const Shard& shard = shards_[s];
         ShardReport sr;
@@ -2130,25 +1974,6 @@ FleetSimulator::run(const std::vector<Request>& trace)
     }
     report.preemptionEnabled = options_.serving.preemption.enabled;
     report.llmEnabled = llmEnabled_;
-    // Epoch-engine statistics. The numbers are identical at every
-    // engineThreads value (the epoch path runs at all of them —
-    // inline at 1); the reporter renders them only when != 1, so
-    // default runs stay byte-identical.
-    report.engineThreads = options_.engineThreads;
-    report.epochs = epochStats_.epochs;
-    report.epochTicks = epochStats_.ticks;
-    report.epochCommitBatches = epochStats_.commitBatches;
-    report.epochMaxCommitBatch = epochStats_.maxCommitBatch;
-    report.epochAbsorbedArrivals = epochStats_.absorbedArrivals;
-    report.epochCapReplayEnd = epochStats_.caps[kEpochCapReplayEnd];
-    report.epochCapParked = epochStats_.caps[kEpochCapParked];
-    report.epochCapArrival = epochStats_.caps[kEpochCapArrival];
-    report.epochCapTimer = epochStats_.caps[kEpochCapTimer];
-    report.epochCapSpeculation =
-        epochStats_.caps[kEpochCapSpeculation];
-    report.epochCapUrgency = epochStats_.caps[kEpochCapUrgency];
-    report.epochCapJoin = epochStats_.caps[kEpochCapJoin];
-    report.epochCapRelease = epochStats_.caps[kEpochCapRelease];
     if (llmEnabled_) {
         report.llmDecodeRounds = llmDecodeRounds_;
         report.llmJoins = llmJoins_;
@@ -2158,7 +1983,7 @@ FleetSimulator::run(const std::vector<Request>& trace)
                       static_cast<double>(llmDecodeRounds_)
                 : 0.0;
     }
-    if (rec) {
+    if (obs::FlightRecorder* const rec = st.rec) {
         rec->metrics().gauge("horizon_sec").set(report.horizonSec);
         rec->metrics()
             .gauge("throughput_rps")
@@ -2169,17 +1994,6 @@ FleetSimulator::run(const std::vector<Request>& trace)
         rec->metrics()
             .gauge("batch_occupancy")
             .set(report.batchOccupancy);
-        // Epoch-engine counters (the per-batch size histogram was
-        // recorded inline). Deterministic at any engineThreads.
-        rec->metrics().counter("epoch.epochs").inc(
-            epochStats_.epochs);
-        rec->metrics().counter("epoch.ticks").inc(epochStats_.ticks);
-        rec->metrics()
-            .counter("epoch.commit_batches")
-            .inc(epochStats_.commitBatches);
-        rec->metrics()
-            .counter("epoch.absorbed_arrivals")
-            .inc(epochStats_.absorbedArrivals);
     }
     report.contestedRoutes = contestedRoutes_;
     report.costOptimalRoutes = costOptimalRoutes_;

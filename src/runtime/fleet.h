@@ -60,30 +60,25 @@
  * wall-clock solve speed affects how long run() takes, never what it
  * returns.
  *
- * Parallel epoch engine: between two consecutive *routing-decision*
+ * Quiet-interval drain: between two consecutive *routing-decision*
  * events, the only events in the fleet are window-boundary crossings
  * — pure replay bookkeeping that touches one shard each. run()
- * exploits that: it computes the conservative lookahead bound B as
- * the min over every next-possible-routing-decision term — next
- * arrival, min parked-solve ready, batching timer, speculation
- * instant, earliest busy shard's replay end, plus (LLM fleets) the
- * earliest step-aligned join cut a decode replay with fresh waiters
- * could take and the earliest mid-replay autoregressive completion
- * (it enqueues decode waiters), plus (preemptive fleets) the next
- * urgency crossing on the same FP expression as the urgency timer —
- * lets every busy shard drain all its boundaries strictly before B
- * concurrently (engineThreads), and then commits the ticks in
- * (time, shard index) order — exactly the order the serial loop
- * would have produced, including the flight-recorder trace and
- * sampler rows, so the report and trace are byte-identical at any
- * engineThreads value. Runs of consecutive same-shard ticks that
- * precede every other shard's head in that order commit as one
- * batch (a single merge-set update per run; syncShard already runs
- * once per shard per epoch). Epochs are skipped only around a
- * deferred dispatch and while a preempted replay awaits its resume
- * (both re-inspect the fleet after every tick, so they stay on the
- * serial path); docs/ARCHITECTURE.md tabulates every bound term
- * with its conservativeness argument.
+ * computes a conservative bound B as the min over every
+ * next-possible-routing-decision term — next arrival, min
+ * parked-solve ready, batching timer, speculation instant, earliest
+ * busy shard's replay end, plus (LLM fleets) the earliest
+ * step-aligned join cut a decode replay with fresh waiters could
+ * take and the earliest mid-replay autoregressive completion (it
+ * enqueues decode waiters), plus (preemptive fleets) the next urgency
+ * crossing on the same FP expression as the urgency timer — and
+ * commits every boundary strictly before B in (time, shard index)
+ * order without re-running the routing steps in between: exactly
+ * the ticks, trace events and sampler rows the per-tick loop would
+ * have produced, for a fraction of its work. The drain is skipped
+ * around a deferred dispatch and while a preempted replay awaits its
+ * resume (both re-inspect the fleet after every tick);
+ * docs/ARCHITECTURE.md tabulates every bound term with its
+ * conservativeness argument.
  *
  * Event calendar: the per-event O(shards) scans of the serial loop
  * (next boundary, next parked-ready, candidate checks) are replaced
@@ -283,37 +278,6 @@ struct FleetOptions
      */
     bool indexedRouting = true;
     /**
-     * Concurrency of the epoch engine draining window boundaries
-     * between state-changing events: 1 (the default) drains inline
-     * on the caller; 0 borrows the serving worker pool; > 1 builds a
-     * dedicated engine pool of that many threads. The exported
-     * report and flight-recorder trace are byte-identical at every
-     * setting — the engine only parallelizes provably independent
-     * per-shard replay bookkeeping and commits it in the serial
-     * event order.
-     *
-     * Interactions: the setting is independent of `indexedRouting`
-     * (routing picks shards at epoch edges; the engine only drains
-     * between them — enable both for large fleets). LLM fleets and
-     * preemptive fleets run under the engine too (join-aware /
-     * urgency-aware bound terms); nothing disables the resolved
-     * engine mode, only per-event serial fallbacks (deferred
-     * dispatch, suspended replay awaiting resume) shorten epochs.
-     * The resolved mode is queryable via engineMode() and logged at
-     * LogLevel::Debug by the constructor, so A/B sweeps cannot
-     * silently run serial.
-     */
-    int engineThreads = 1;
-    /**
-     * Lock stripes per AsyncScheduleCache (0 picks the cache's
-     * default: 16 for an unbounded store, 1 when cacheCapacity
-     * bounds it — a global LRU order needs a global lock). Striping
-     * is a pure partition of the key space, so counters and contents
-     * are unaffected; it only removes mutex contention when many
-     * engine threads and solver workers share one global cache.
-     */
-    int cacheStripes = 0;
-    /**
      * One schedule cache shared by every shard (each (mix, package)
      * pair solved once fleet-wide) versus a private cache per shard
      * (pairs re-solved per shard, but no cross-shard coupling — pair
@@ -337,19 +301,6 @@ struct FleetOptions
      */
     obs::FlightRecorder* recorder = nullptr;
 };
-
-/**
- * The resolved concurrency mode of the parallel epoch engine (from
- * FleetOptions::engineThreads; see engineModeName for rendering).
- */
-enum class EngineMode
-{
-    Inline,    ///< engineThreads == 1: drains run on the event thread
-    Borrowed,  ///< engineThreads == 0: drains on the serving pool
-    Dedicated, ///< engineThreads > 1: drains on an owned engine pool
-};
-
-const char* engineModeName(EngineMode mode);
 
 /** Simulates serving one request stream on a fleet of MCMs. */
 class FleetSimulator
@@ -390,20 +341,6 @@ class FleetSimulator
     /** The package template of a shard (shard 0 by default, which is
      *  the constructor template in a homogeneous fleet). */
     const Mcm& mcm(int shard = 0) const;
-
-    /**
-     * The resolved epoch-engine concurrency mode. Nothing disables
-     * the engine outright — LLM and preemptive fleets run under it
-     * with join-/urgency-aware bound terms — but per-event serial
-     * fallbacks (a deferred dispatch, a suspended replay awaiting
-     * resume) can shorten or skip individual epochs. The constructor
-     * also logs the resolution at LogLevel::Debug.
-     */
-    EngineMode engineMode() const { return engineMode_; }
-
-    /** Human-readable engine-mode resolution, e.g.
-     *  "dedicated pool (8 threads)". */
-    std::string engineModeDescription() const;
 
     /**
      * The completion-cost estimate BestFit uses for a mix on a
@@ -506,6 +443,10 @@ class FleetSimulator
     int routeDispatch(const std::string& mixSig, const Scenario& mix,
                       double nowSec, bool allowDefer, bool urgent);
 
+    /** routeDispatch's candidate rule: an idle, unparked shard that
+     *  owes no resume (urgent dispatches may claim one that does). */
+    bool routeCandidate(std::size_t s, bool urgent) const;
+
     /**
      * The shard a speculative solve for this mix should warm: the
      * affinity shard (MixAffinity), the cost-cheapest shard counting
@@ -579,8 +520,8 @@ class FleetSimulator
     /**
      * The single choke point keeping every calendar and routing
      * index consistent with shard s's state. Called after each
-     * mutation of a shard (park, start, tick, suspend, resume, epoch
-     * drain); O(log N) per call.
+     * mutation of a shard (park, start, tick, suspend, resume,
+     * quiet-interval drain); O(log N) per call.
      */
     void syncShard(std::size_t s);
 
@@ -623,6 +564,63 @@ class FleetSimulator
     int routeIndexed(const std::string& mixSig, const Scenario& mix,
                      double nowSec, bool allowDefer);
 
+    // --- The event loop: run() dispatches to one handler per step ---
+    /** Mutable state of one run() shared by the handlers below
+     *  (admission queues, trace cursor, virtual clock, ...). */
+    struct RunState;
+    /** The candidate next-event instants of one loop iteration. */
+    struct NextEvent;
+
+    /** Per-run reset, recorder setup, compute closures, calendar. */
+    void beginRun(RunState& st);
+    /** Urgency predicate at st.nowSec (false with preemption off). */
+    bool urgentQueued(const RunState& st) const;
+    /** Some shard could take a dispatch (urgent ones may also claim
+     *  a shard parking a suspended replay). */
+    bool anyCandidate(bool urgent) const;
+    /** Step 0: resume suspended replays on idle shards. */
+    bool resumeIdleSuspended(RunState& st);
+    /** Step 1: start parked dispatches whose schedule is due. */
+    bool startDueParked(RunState& st);
+    /** Step 1.5: form and park a decode round on a free shard. */
+    bool formDecodeRound(RunState& st);
+    /** Step 2: route, form and park a ready batch (or defer it). */
+    bool routeReadyBatch(RunState& st);
+    /** Looks up the dispatch's schedule on the target shard and
+     *  parks it there until the schedule's virtual ready instant. */
+    void parkDispatch(RunState& st, int target, Dispatch dispatch,
+                      const std::string& sig, const char* counter);
+    /** Step 3: warm the would-be mix while every shard is busy. */
+    void speculate(RunState& st);
+    /** Step 4: the candidate instants of the next event. */
+    NextEvent pickNextEvent(const RunState& st) const;
+    /** Admits the next trace arrival. */
+    void commitArrival(RunState& st);
+    /** Records one crossed window boundary (completions, LLM
+     *  transitions, lifecycle trace events). */
+    void commitTick(RunState& st, int shardIdx, WindowTick& tick);
+    /** The quiet-interval bound: the earliest instant any routing
+     *  decision could become possible (see the file comment). */
+    double quietIntervalBound(const RunState& st, const NextEvent& ev,
+                              bool absorbArrivals) const;
+    /** Commits every boundary strictly before the quiet-interval
+     *  bound; false when none lies before it (or the drain is gated
+     *  off), leaving the head boundary to boundaryTick. */
+    bool drainQuietInterval(RunState& st, const NextEvent& ev);
+    /** One boundary through the per-tick path, with boundary
+     *  preemption and the continuous-batching join cut. */
+    void boundaryTick(RunState& st, int shardIdx);
+    /** Emits every sampler row due at st.nowSec. */
+    void fireSamples(RunState& st);
+    /** Builds the run's report from the records and shard state. */
+    ServingReport summarize(RunState& st);
+
+    /** Differential tests compare the drain against the per-tick
+     *  path through this peer (tests/test_parallel_fleet.cc). */
+    friend class FleetSimulatorTestPeer;
+    /** Test seam: route every boundary through boundaryTick. */
+    bool perTickOnly_ = false;
+
     std::vector<ServedModel> catalog_;
     FleetOptions options_;
     std::vector<Mcm> templates_; ///< one per shard
@@ -646,39 +644,6 @@ class FleetSimulator
     std::vector<Pod> pods_;
     std::vector<int> podOf_; ///< shard -> pod
 
-    // --- Epoch engine ---
-    ThreadPool* enginePool_ = nullptr; ///< nullptr = inline drain
-    std::unique_ptr<ThreadPool> ownedEnginePool_;
-    EngineMode engineMode_ = EngineMode::Inline;
-
-    /** Which bound term capped an epoch (per-run statistics; the
-     *  order is the attribution priority on exact ties). */
-    enum EpochBoundTerm
-    {
-        kEpochCapReplayEnd = 0, ///< earliest busy replay's final end
-        kEpochCapParked,        ///< earliest parked-solve ready
-        kEpochCapArrival,       ///< next unabsorbed arrival
-        kEpochCapTimer,         ///< batching-timer maturity
-        kEpochCapSpeculation,   ///< speculative-solve guard
-        kEpochCapUrgency,       ///< next preemption urgency crossing
-        kEpochCapJoin,          ///< earliest step-aligned join cut
-        kEpochCapRelease,       ///< earliest mid-replay LLM release
-        kEpochBoundTermCount,
-    };
-
-    /** Per-run epoch-engine statistics (reset by run(); surfaced in
-     *  ServingReport and, behind the recorder, obs/ metrics). */
-    struct EpochStats
-    {
-        long epochs = 0;
-        long ticks = 0;             ///< boundary ticks committed in epochs
-        long commitBatches = 0;     ///< same-shard runs committed as one
-        long maxCommitBatch = 0;
-        long absorbedArrivals = 0;
-        long caps[kEpochBoundTermCount] = {};
-    };
-    EpochStats epochStats_;
-
     /** Memoized WindowEvaluator makespan estimates, keyed like the
      *  schedule caches by (mix, package) signature. */
     std::map<std::string, double> makespanEstimates_;
@@ -689,11 +654,11 @@ class FleetSimulator
     // --- Autoregressive serving (continuous batching) ---
     /** Any catalog entry has LlmProfile::autoregressive set. Gates
      *  every LLM code path (a catalog without LLM entries runs the
-     *  pre-LLM event loop byte-for-byte) and arms the epoch engine's
-     *  join-cut and mid-replay-release bound terms: decode requeues
-     *  and join cuts are event-loop decisions, so the epoch bound
+     *  pre-LLM event loop byte-for-byte) and arms the quiet-interval
+     *  drain's join-cut and mid-replay-release bound terms: decode
+     *  requeues and join cuts are event-loop decisions, so the drain
      *  stops strictly before the first boundary where one could
-     *  occur and leaves that tick to the serial path. */
+     *  occur and leaves that tick to the per-tick path. */
     bool llmEnabled_ = false;
     /** In-flight decode rounds (parked or replaying) per catalog
      *  model. Continuous batching dispatches a second concurrent

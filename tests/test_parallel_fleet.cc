@@ -1,16 +1,15 @@
 /**
  * @file
- * Tests for the planet-scale serving additions: the parallel epoch
- * engine (serial-vs-parallel byte identity of the report, metrics,
- * samples, and trace export at several engine-thread counts — on
- * plain, preemptive, and LLM continuous/static fleets), the
- * generalized conservative epoch bound (drainUntil never crosses
- * it, the join/urgency terms land ticks exactly on their cuts, and
- * the bound-term attribution statistics), the hierarchical
- * cluster -> pod -> shard routing index (identical decisions and
- * routing-quality counters to the flat BestFit scan on small
- * fleets), and the signature-striped AsyncScheduleCache (exactly
- * one solve per key under concurrent callers, stripe-count rules).
+ * Tests for the fleet event loop's scale machinery: the quiet-interval
+ * drain (a differential check of every observable artifact — report,
+ * trace, metrics, samples — against the per-tick path on plain,
+ * saturated, preemptive, LLM continuous/static, join-cut, and mixed
+ * LLM + vision fleets), the ulp-exact boundary probes its bound keys
+ * on, the hierarchical cluster -> pod -> shard routing index
+ * (identical decisions and routing-quality counters to the flat
+ * BestFit scan on small fleets), and the signature-striped
+ * AsyncScheduleCache (exactly one solve per key under concurrent
+ * callers, stripe-count rules).
  */
 
 #include <gtest/gtest.h>
@@ -35,6 +34,19 @@ namespace scar
 {
 namespace runtime
 {
+
+/** Reaches FleetSimulator's private per-tick test seam. */
+class FleetSimulatorTestPeer
+{
+  public:
+    /** Sends every window boundary through the per-tick path — the
+     *  reference the quiet-interval drain must reproduce. */
+    static void disableDrain(FleetSimulator& fleet)
+    {
+        fleet.perTickOnly_ = true;
+    }
+};
+
 namespace
 {
 
@@ -73,24 +85,19 @@ struct RunArtifacts
 RunArtifacts
 runFleet(FleetOptions options, const std::vector<ServedModel>& catalog,
          const std::vector<Request>& trace,
-         ServingReport* reportOut = nullptr)
+         ServingReport* reportOut = nullptr, bool perTickOnly = false)
 {
     obs::FlightRecorder rec;
     options.recorder = &rec;
     FleetSimulator fleet(catalog,
                          templates::hetSides3x3(templates::kArvrPes),
                          options);
+    if (perTickOnly)
+        FleetSimulatorTestPeer::disableDrain(fleet);
     RunArtifacts out;
-    ServingReport report = fleet.run(trace);
+    const ServingReport report = fleet.run(trace);
     if (reportOut)
         *reportOut = report;
-    // Normalize the render gate before formatting: the epoch-stats
-    // section is keyed on engineThreads (so default reports keep the
-    // pre-engine format), but the statistics themselves are identical
-    // at every thread count. Pinning the field to one off-default
-    // value on both sides makes every byte-equality below also cover
-    // the epoch counters.
-    report.engineThreads = 8;
     out.report = describeServingReport(report);
     out.traceJson = rec.trace().toJson();
     out.metricsJson = rec.metrics().toJson();
@@ -107,10 +114,33 @@ runFleet(FleetOptions options, const std::vector<ServedModel>& catalog,
                     poissonTrace(catalog, requests, seed), reportOut);
 }
 
-/** A 4-shard heterogeneous BestFit fleet exercising every epoch
+/**
+ * The differential check: the drained run and the per-tick reference
+ * must agree on every artifact byte. Returns the drained run's report
+ * so callers can assert the scenario exercised what it targets.
+ */
+ServingReport
+expectDrainMatchesPerTick(const FleetOptions& options,
+                          const std::vector<ServedModel>& catalog,
+                          const std::vector<Request>& trace)
+{
+    ServingReport report;
+    const RunArtifacts drained =
+        runFleet(options, catalog, trace, &report);
+    const RunArtifacts perTick =
+        runFleet(options, catalog, trace, nullptr, true);
+    EXPECT_EQ(drained.report, perTick.report);
+    EXPECT_EQ(drained.traceJson, perTick.traceJson);
+    EXPECT_EQ(drained.metricsJson, perTick.metricsJson);
+    EXPECT_EQ(drained.metricsCsv, perTick.metricsCsv);
+    EXPECT_EQ(drained.samplesCsv, perTick.samplesCsv);
+    return report;
+}
+
+/** A 4-shard heterogeneous BestFit fleet exercising every drain
  *  hazard at once: deferral, speculation, solve stalls, switches. */
 FleetOptions
-epochFleetOptions()
+hetFleetOptions()
 {
     FleetOptions options;
     options.shardTemplates = {
@@ -125,90 +155,112 @@ epochFleetOptions()
     return options;
 }
 
-TEST(ParallelFleet, EngineThreadsAreByteInvisible)
+TEST(QuietIntervalDrain, MatchesPerTickOnHeterogeneousBestFit)
 {
     const auto catalog = twoModelCatalog();
-    FleetOptions options = epochFleetOptions();
-    options.engineThreads = 1; // serial reference
-    const RunArtifacts serial = runFleet(options, catalog, 400, 17);
-
-    // 0 borrows the serving pool; > 1 builds a dedicated engine pool.
-    for (const int threads : {0, 4, 8}) {
-        options.engineThreads = threads;
-        const RunArtifacts parallel =
-            runFleet(options, catalog, 400, 17);
-        EXPECT_TRUE(serial == parallel)
-            << "engineThreads = " << threads
-            << " diverged from the serial engine";
-    }
+    const ServingReport report = expectDrainMatchesPerTick(
+        hetFleetOptions(), catalog, poissonTrace(catalog, 400, 17));
+    EXPECT_EQ(report.completed, 400);
 }
 
-TEST(ParallelFleet, SingleShardServingPathIsUnchanged)
+TEST(QuietIntervalDrain, MatchesPerTickOnOneShard)
 {
-    // The golden serving scenario shape: one shard, RoundRobin. The
-    // epoch engine must leave it byte-identical too.
+    // The golden serving scenario shape: one shard, RoundRobin.
     const auto catalog = twoModelCatalog();
     FleetOptions options;
-    options.shards = 1;
     options.routing = RoutingPolicy::RoundRobin;
     options.serving.modeledSolveSec = 0.01;
-    options.engineThreads = 1;
-    const RunArtifacts serial = runFleet(options, catalog, 250, 3);
-    options.engineThreads = 8;
-    const RunArtifacts parallel = runFleet(options, catalog, 250, 3);
-    EXPECT_TRUE(serial == parallel);
+    expectDrainMatchesPerTick(options, catalog,
+                              poissonTrace(catalog, 250, 3));
 }
 
-TEST(ParallelFleet, PreemptiveFleetsMatchSerialAtEveryThreadCount)
+TEST(QuietIntervalDrain, MatchesPerTickWithArrivalsAbsorbed)
 {
-    // Preemptive fleets drain in urgency-capped epochs now (the bound
-    // stops strictly before the next deadline-slack crossing, and no
-    // epoch forms while a replay is suspended). Full artifacts must
-    // stay byte-identical to the serial engine, and the workload must
-    // actually exercise both epochs and urgency crossings — a bound
-    // that silently excluded every tick would pass a bare equality
-    // check.
+    // Saturated and without speculation: every shard is busy most of
+    // the time, so arrivals inside a quiet interval can only enqueue
+    // and the drain absorbs them into its commit stream.
+    auto catalog = twoModelCatalog();
+    for (ServedModel& sm : catalog)
+        sm.rateRps *= 4.0;
+    FleetOptions options = hetFleetOptions();
+    options.speculativeSolve = false;
+    const ServingReport report = expectDrainMatchesPerTick(
+        options, catalog, poissonTrace(catalog, 400, 19));
+    EXPECT_GT(report.p99LatencySec, 0.05)
+        << "the fleet must actually be saturated";
+}
+
+TEST(QuietIntervalDrain, MatchesPerTickUnderPreemption)
+{
     const auto catalog = twoModelCatalog();
-    FleetOptions options = epochFleetOptions();
+    FleetOptions options = hetFleetOptions();
     options.serving.preemption.enabled = true;
     options.serving.preemption.slackThresholdSec = 0.004;
-    options.engineThreads = 1;
-    ServingReport serialReport;
-    const RunArtifacts serial =
-        runFleet(options, catalog, 300, 29, &serialReport);
-    EXPECT_GT(serialReport.epochs, 0)
-        << "preemptive fleets must form epochs";
-    EXPECT_GT(serialReport.preemptions, 0)
-        << "the trace must still exercise urgency crossings";
-    for (const int threads : {0, 4, 8}) {
-        options.engineThreads = threads;
-        const RunArtifacts parallel =
-            runFleet(options, catalog, 300, 29);
-        EXPECT_TRUE(serial == parallel)
-            << "engineThreads = " << threads
-            << " diverged under preemption";
-    }
+    const ServingReport report = expectDrainMatchesPerTick(
+        options, catalog, poissonTrace(catalog, 300, 29));
+    EXPECT_GT(report.preemptions, 0)
+        << "the trace must exercise boundary preemption";
 }
 
-TEST(ParallelFleet, UrgencyCrossingCapsTheEpoch)
+TEST(QuietIntervalDrain, MatchesPerTickAcrossUrgencyCrossings)
 {
-    // Regression for the urgency bound term: with queued work and a
-    // tight SLO, at least one epoch must end at the deadline-slack
-    // crossing (cap attribution kEpochCapUrgency), i.e. crossings are
-    // not swallowed into longer epochs and then noticed late. A tight
-    // SLO puts the crossing in front of the next replay end and the
-    // batching timer, so the urgency term is the binding one.
+    // Tight SLOs put the deadline-slack crossing ahead of the next
+    // replay end and the batching timer.
     auto catalog = twoModelCatalog();
     catalog[0].sloSec = 0.006;
     catalog[1].sloSec = 0.006;
-    FleetOptions options = epochFleetOptions();
+    FleetOptions options = hetFleetOptions();
     options.serving.preemption.enabled = true;
     options.serving.preemption.slackThresholdSec = 0.002;
-    ServingReport report;
-    (void)runFleet(options, catalog, 300, 29, &report);
+    const ServingReport report = expectDrainMatchesPerTick(
+        options, catalog, poissonTrace(catalog, 300, 29));
     EXPECT_GT(report.preemptions, 0);
-    EXPECT_GT(report.epochCapUrgency, 0)
-        << "no epoch was capped by the urgency term";
+}
+
+/** A long multi-window handSP replay and a lone eyeCod request that
+ *  arrives while it runs — nothing else happens before the replay
+ *  ends, so one bound term alone must stop the drain. */
+std::vector<ServedModel>
+midReplayCatalog()
+{
+    std::vector<ServedModel> catalog(2);
+    catalog[0].model = zoo::handSP(2);
+    catalog[0].sloSec = 1.0;
+    catalog[1].model = zoo::eyeCod(4);
+    catalog[1].sloSec = 0.03;
+    return catalog;
+}
+
+TEST(QuietIntervalDrain, MatchesPerTickWhenUrgencyCrossesMidReplay)
+{
+    // Solves are free (no speculation guard), so only the urgency
+    // term keeps the drain from committing the boundary where the
+    // per-tick path preempts the replay.
+    const auto catalog = midReplayCatalog();
+    const auto trace =
+        traceFromArrivals(catalog, {{0.0, 0}, {0.02, 1}});
+    FleetOptions options;
+    options.serving.admission.maxQueueDelaySec = 0.001;
+    options.serving.preemption.enabled = true;
+    options.serving.preemption.slackThresholdSec = 0.005;
+    const ServingReport report =
+        expectDrainMatchesPerTick(options, catalog, trace);
+    EXPECT_EQ(report.preemptions, 1);
+}
+
+TEST(QuietIntervalDrain, MatchesPerTickWhenTheBatchTimerMaturesMidReplay)
+{
+    // The eyeCod batch is not ready on arrival, and no shard is free
+    // for the batching-timer term; only the speculation term stops
+    // the drain at the timer instant, where the per-tick path starts
+    // the speculative solve.
+    const auto catalog = midReplayCatalog();
+    const auto trace =
+        traceFromArrivals(catalog, {{0.0, 0}, {0.025, 1}});
+    FleetOptions options;
+    options.serving.modeledSolveSec = 0.002;
+    options.serving.admission.maxQueueDelaySec = 0.01;
+    expectDrainMatchesPerTick(options, catalog, trace);
 }
 
 /** One-model LLM catalog around a deliberately small decoder. */
@@ -233,14 +285,8 @@ llmChatCatalog(int batchCap)
     return catalog;
 }
 
-TEST(ParallelFleet, LlmFleetsMatchSerialAtEveryThreadCount)
+TEST(QuietIntervalDrain, MatchesPerTickOnLlmFleets)
 {
-    // LLM fleets no longer bypass the epoch engine: the join term
-    // caps epochs at the next step-aligned cut while decode waiters
-    // exist, and the release term at the earliest mid-replay
-    // autoregressive completion. Continuous and Static batching must
-    // both stay byte-identical to the serial engine across every
-    // engine mode (inline / borrowed / dedicated).
     const auto catalog = llmChatCatalog(/*batchCap=*/4);
     const auto trace = llmPoissonTrace(catalog, 80, 7);
     for (const LlmBatchingMode mode :
@@ -250,36 +296,20 @@ TEST(ParallelFleet, LlmFleetsMatchSerialAtEveryThreadCount)
         options.serving.modeledSolveSec = 0.002;
         options.serving.admission.maxQueueDelaySec = 0.001;
         options.serving.admission.llmBatching = mode;
-        options.engineThreads = 1;
-        ServingReport serialReport;
-        const RunArtifacts serial =
-            runFleet(options, catalog, trace, &serialReport);
-        EXPECT_GT(serialReport.epochs, 0)
-            << "LLM fleets must form epochs";
-        EXPECT_GT(serialReport.llmDecodeRounds, 0);
-        for (const int threads : {0, 4, 8}) {
-            options.engineThreads = threads;
-            const RunArtifacts parallel =
-                runFleet(options, catalog, trace);
-            EXPECT_TRUE(serial == parallel)
-                << "engineThreads = " << threads << ", mode "
-                << static_cast<int>(mode)
-                << " diverged on the LLM fleet";
-        }
+        const ServingReport report =
+            expectDrainMatchesPerTick(options, catalog, trace);
+        EXPECT_GT(report.llmDecodeRounds, 0);
     }
 }
 
-TEST(ParallelFleet, JoinLandsExactlyOnTheStepCut)
+TEST(QuietIntervalDrain, MatchesPerTickAroundTheJoinCut)
 {
-    // Regression for the join bound term: B's prefill finishes while
-    // A decodes a long stream, so the join must land on a step-aligned
-    // boundary of A's in-flight round — under every engine mode, with
-    // the join count intact and all artifacts byte-identical. An
-    // off-by-one-ulp join probe would either commit the cut tick
-    // inside an epoch (losing the join) or cut a step early.
+    // B's prefill finishes while A decodes a long stream, so B must
+    // join on a step-aligned boundary of A's in-flight round. A join
+    // probe one ulp off would either drain the cut tick (losing the
+    // join) or cut a step early.
     auto catalog = llmChatCatalog(/*batchCap=*/4);
-    auto trace =
-        traceFromArrivals(catalog, {{0.0, 0}, {0.001, 0}});
+    auto trace = traceFromArrivals(catalog, {{0.0, 0}, {0.001, 0}});
     trace[0].promptTokens = 16;
     trace[0].outputTokens = 200; // long generation: many rounds
     trace[1].promptTokens = 16;
@@ -287,140 +317,59 @@ TEST(ParallelFleet, JoinLandsExactlyOnTheStepCut)
 
     FleetOptions options;
     options.shards = 2;
-    options.serving.admission.llmBatching =
-        LlmBatchingMode::Continuous;
+    options.serving.admission.llmBatching = LlmBatchingMode::Continuous;
     options.serving.admission.maxQueueDelaySec = 0.0002;
-    options.engineThreads = 1;
-    ServingReport serialReport;
-    const RunArtifacts serial =
-        runFleet(options, catalog, trace, &serialReport);
-    EXPECT_GE(serialReport.llmJoins, 1)
+    const ServingReport report =
+        expectDrainMatchesPerTick(options, catalog, trace);
+    EXPECT_GE(report.llmJoins, 1)
         << "B must join A's in-flight decode stream";
-    for (const int threads : {0, 4, 8}) {
-        options.engineThreads = threads;
-        ServingReport report;
-        const RunArtifacts parallel =
-            runFleet(options, catalog, trace, &report);
-        EXPECT_EQ(report.llmJoins, serialReport.llmJoins);
-        EXPECT_TRUE(serial == parallel)
-            << "engineThreads = " << threads
-            << " diverged around the join cut";
+}
+
+TEST(QuietIntervalDrain, MatchesPerTickOnMixedLlmAndVision)
+{
+    // A chat prompt and a hand-tracking frame board one mix; the
+    // chat prefill finishes windows before the mix's replay ends, and
+    // its decode round starts on the idle second shard right away.
+    // Only the release term stops the drain before that completion.
+    auto catalog = llmChatCatalog(/*batchCap=*/4);
+    ServedModel vision;
+    vision.model = zoo::handSP(2);
+    vision.sloSec = 1.0;
+    catalog.push_back(std::move(vision));
+    auto trace = traceFromArrivals(catalog, {{0.0, 0}, {0.0, 1}});
+    trace[0].promptTokens = 16;
+    trace[0].outputTokens = 8;
+    FleetOptions options;
+    options.shards = 2;
+    options.serving.admission.maxQueueDelaySec = 0.001;
+    options.serving.admission.llmBatching = LlmBatchingMode::Continuous;
+    const ServingReport report =
+        expectDrainMatchesPerTick(options, catalog, trace);
+    EXPECT_EQ(report.llmDecodeRounds, 1);
+    EXPECT_LT(report.p99TtftSec, report.p99LatencySec);
+}
+
+/** Crosses every boundary strictly before boundSec, as the drain
+ *  does; returns the number of ticks. */
+int
+advanceBefore(ReplayExecutor& executor, double boundSec)
+{
+    int ticks = 0;
+    while (executor.busy() && executor.nextBoundarySec() < boundSec) {
+        executor.advance();
+        ++ticks;
     }
-}
-
-TEST(ParallelFleet, EpochSectionRendersOnlyOffDefault)
-{
-    // The reporter's epoch-statistics section is gated on the
-    // engineThreads knob: a default run keeps the pre-engine report
-    // format byte for byte; any off-default value renders the stats.
-    const auto catalog = twoModelCatalog();
-    FleetOptions options = epochFleetOptions();
-    FleetSimulator fleet(catalog,
-                         templates::hetSides3x3(templates::kArvrPes),
-                         options);
-    ServingReport report = fleet.run(poissonTrace(catalog, 100, 5));
-    EXPECT_EQ(report.engineThreads, 1);
-    EXPECT_GT(report.epochs, 0);
-    const std::string serial = describeServingReport(report);
-    EXPECT_EQ(serial.find("Epoch ticks"), std::string::npos);
-    report.engineThreads = 8;
-    const std::string parallel = describeServingReport(report);
-    EXPECT_NE(parallel.find("Engine threads"), std::string::npos);
-    EXPECT_NE(parallel.find("Epoch ticks"), std::string::npos);
-    EXPECT_NE(parallel.find("Commit batches"), std::string::npos);
-}
-
-TEST(ParallelFleet, EngineModeResolutionIsQueryable)
-{
-    const auto catalog = twoModelCatalog();
-    const auto modeOf = [&](int threads) {
-        FleetOptions options;
-        options.engineThreads = threads;
-        FleetSimulator fleet(
-            catalog, templates::hetSides3x3(templates::kArvrPes),
-            options);
-        return fleet.engineMode();
-    };
-    EXPECT_EQ(modeOf(1), EngineMode::Inline);
-    EXPECT_EQ(modeOf(0), EngineMode::Borrowed);
-    EXPECT_EQ(modeOf(8), EngineMode::Dedicated);
-    EXPECT_STREQ(engineModeName(EngineMode::Inline), "inline");
-    EXPECT_STREQ(engineModeName(EngineMode::Borrowed),
-                 "borrowed-pool");
-    EXPECT_STREQ(engineModeName(EngineMode::Dedicated),
-                 "dedicated-pool");
-}
-
-TEST(ParallelFleet, DrainUntilStopsStrictlyBeforeBound)
-{
-    // Two windows of 1 s each starting at 2 s: boundaries at 3 and 4.
-    CachedSchedule entry;
-    Scenario mix;
-    mix.name = "mix";
-    mix.models = {zoo::eyeCod(1)};
-    entry.mix = mix;
-    ScheduledWindow w0;
-    ModelPlacement mp;
-    mp.modelIdx = 0;
-    mp.segments.push_back(
-        {LayerRange{0, mix.models[0].numLayers() - 1}, 0});
-    w0.placement.models = {mp};
-    w0.cost.latencyCycles = 500.0e6; // 1 s at the 500 MHz clock
-    ScheduledWindow w1 = w0;
-    entry.result.windows = {w0, w1};
-    buildReplayView(entry);
-
-    Dispatch dispatch;
-    dispatch.mix = entry.mix;
-    dispatch.catalogIdx = {0};
-    BatchGroup g;
-    g.catalogIdx = 0;
-    g.batch = 1;
-    Request r;
-    r.id = 0;
-    r.modelIdx = 0;
-    r.arrivalSec = 1.0;
-    g.requests = {r};
-    dispatch.groups = {g};
-
-    ReplayExecutor executor;
-    executor.start(std::make_shared<CachedSchedule>(entry), dispatch,
-                   2.0);
-    EXPECT_DOUBLE_EQ(executor.finalBoundarySec(), 4.0);
-
-    // Bound below the first boundary: nothing drains.
-    std::vector<WindowTick> ticks;
-    EXPECT_EQ(executor.drainUntil(3.0, ticks), 0u);
-    EXPECT_TRUE(ticks.empty());
-    EXPECT_TRUE(executor.busy());
-
-    // Bound between the boundaries: exactly the first tick, and the
-    // executor still owns its final window.
-    EXPECT_EQ(executor.drainUntil(3.5, ticks), 1u);
-    ASSERT_EQ(ticks.size(), 1u);
-    EXPECT_DOUBLE_EQ(ticks[0].timeSec, 3.0);
-    EXPECT_FALSE(ticks[0].dispatchDone);
-    EXPECT_TRUE(executor.busy());
-
-    // A bound at the final boundary (the epoch engine's cap) leaves
-    // the dispatch-done tick for the serial path.
-    EXPECT_EQ(executor.drainUntil(executor.finalBoundarySec(), ticks),
-              0u);
-    EXPECT_TRUE(executor.busy());
-    EXPECT_EQ(executor.drainUntil(100.0, ticks), 1u);
-    ASSERT_EQ(ticks.size(), 2u);
-    EXPECT_TRUE(ticks[1].dispatchDone);
-    EXPECT_FALSE(executor.busy());
+    return ticks;
 }
 
 TEST(ParallelFleet, BoundaryProbesAreUlpExact)
 {
     // The join/release bound terms only work if the probes reproduce
     // advance()'s boundary instants bit for bit: a probe one ulp
-    // early commits the cut tick inside the epoch, one ulp late cuts
-    // a window short. Awkward window durations make naive
-    // start-plus-prefix-sum arithmetic diverge from the executor's
-    // left-to-right accumulation.
+    // early drains the cut tick, one ulp late cuts a window short.
+    // Awkward window durations make naive start-plus-prefix-sum
+    // arithmetic diverge from the executor's left-to-right
+    // accumulation.
     CachedSchedule entry;
     Scenario mix;
     mix.name = "mix";
@@ -459,9 +408,8 @@ TEST(ParallelFleet, BoundaryProbesAreUlpExact)
     // With 2 windows per step, the step-aligned cuts follow windows 1
     // and 3; window 5 is the final boundary and must never be a cut.
     const double cut1 = executor.nextStepBoundarySec(2);
-    std::vector<WindowTick> ticks;
-    EXPECT_EQ(executor.drainUntil(cut1, ticks), 1u)
-        << "the cut tick itself must stay outside the epoch";
+    EXPECT_EQ(advanceBefore(executor, cut1), 1)
+        << "the cut tick itself must stay outside the drain";
     WindowTick tick = executor.advance();
     EXPECT_EQ(tick.windowIdx, 1);
     EXPECT_EQ(tick.timeSec, cut1)
@@ -469,8 +417,7 @@ TEST(ParallelFleet, BoundaryProbesAreUlpExact)
 
     const double cut2 = executor.nextStepBoundarySec(2);
     EXPECT_GT(cut2, cut1);
-    ticks.clear();
-    EXPECT_EQ(executor.drainUntil(cut2, ticks), 1u);
+    EXPECT_EQ(advanceBefore(executor, cut2), 1);
     tick = executor.advance();
     EXPECT_EQ(tick.windowIdx, 3);
     EXPECT_EQ(tick.timeSec, cut2);
@@ -488,6 +435,14 @@ TEST(ParallelFleet, BoundaryProbesAreUlpExact)
     EXPECT_EQ(executor.earliestGroupEndSec(
                   [](std::size_t) { return false; }),
               std::numeric_limits<double>::infinity());
+
+    // The replay-end term: a drain bounded at the final boundary
+    // leaves the dispatch-done tick, which lands on it exactly.
+    const double end = executor.finalBoundarySec();
+    EXPECT_EQ(advanceBefore(executor, end), 1);
+    tick = executor.advance();
+    EXPECT_TRUE(tick.dispatchDone);
+    EXPECT_EQ(tick.timeSec, end);
 }
 
 TEST(ParallelFleet, IndexedRoutingMatchesFlatBestFit)
@@ -498,7 +453,7 @@ TEST(ParallelFleet, IndexedRoutingMatchesFlatBestFit)
     // keep candidate costs distinct (no eps-level ties).
     const auto catalog = twoModelCatalog();
     for (const bool defer : {true, false}) {
-        FleetOptions options = epochFleetOptions();
+        FleetOptions options = hetFleetOptions();
         options.bestFitDefer = defer;
         options.indexedRouting = false;
         const RunArtifacts flat = runFleet(options, catalog, 400, 11);
@@ -515,7 +470,7 @@ TEST(ParallelFleet, IndexedRoutingMatchesFlatOnEveryPolicy)
     for (const RoutingPolicy policy :
          {RoutingPolicy::RoundRobin, RoutingPolicy::LeastLoaded,
           RoutingPolicy::MixAffinity}) {
-        FleetOptions options = epochFleetOptions();
+        FleetOptions options = hetFleetOptions();
         options.routing = policy;
         options.indexedRouting = false;
         const RunArtifacts flat = runFleet(options, catalog, 300, 23);
@@ -530,7 +485,7 @@ TEST(ParallelFleet, IndexedRoutingMatchesFlatOnEveryPolicy)
 TEST(ParallelFleet, IndexedRoutingKeepsCostOptimalityCounters)
 {
     const auto catalog = twoModelCatalog();
-    FleetOptions options = epochFleetOptions();
+    FleetOptions options = hetFleetOptions();
     FleetSimulator fleet(catalog,
                          templates::hetSides3x3(templates::kArvrPes),
                          options);
