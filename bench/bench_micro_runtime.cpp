@@ -2,9 +2,9 @@
  * @file
  * google-benchmark microbenchmarks for the discrete-event runtime:
  * host-side event throughput of the fleet engine on a warm schedule
- * cache — the quiet-interval drain, the indexed calendar, and the
- * cluster -> pod -> shard routing are what is being timed, not the
- * solver (every mix is cached after the warmup replay).
+ * cache — the quiet-interval drain, the event calendar, and the flat
+ * routing scan over per-package quotes are what is being timed, not
+ * the solver (every mix is cached after the warmup replay).
  *
  * Gated by scripts/check_bench_regression.py against
  * bench_results/micro_runtime.json.
@@ -43,11 +43,12 @@ BENCHMARK(BM_RuntimeCalibrationGemm);
  * One saturated fleet replay per iteration, solver cost excluded: a
  * warmup replay populates the shared schedule cache, so the timed
  * replays walk the event loop alone — quiet-interval drains,
- * calendar updates, BestFit routing over the pod index, commits. The argument
- * is the shard count; the request stream scales with it (constant
- * per-shard load), so items/s is comparable across sizes and a
- * near-flat rate across the 4x fleet growth is the O(log N) routing
- * contract.
+ * calendar updates, BestFit routing over package quotes, commits.
+ * The argument is the shard count; the request stream scales with it
+ * (constant per-shard load), so items/s is comparable across sizes.
+ * Routing scans every shard, so the rate falls as the fleet grows: on
+ * a 4-core Xeon VM (Release, GCC 12.2), /16 ran at 0.67-0.77x the
+ * items/s of /4 (373k-402k vs 523k-554k items/s over two runs).
  */
 void
 BM_FleetEngineEvents(benchmark::State& state)

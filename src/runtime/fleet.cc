@@ -5,7 +5,6 @@
 #include <functional>
 #include <limits>
 #include <set>
-#include <tuple>
 
 #include "common/error.h"
 #include "common/logging.h"
@@ -39,51 +38,6 @@ fnv1a(const std::string& s)
         h *= 1099511628211uLL;
     }
     return static_cast<std::size_t>(h);
-}
-
-using ClassIndex =
-    std::map<std::string, std::set<std::pair<double, int>>>;
-using ClassHeads = std::set<std::tuple<double, int, std::string>>;
-
-/** Inserts (key, shard) under cls, keeping `heads` = the minimum of
- *  every non-empty class set. */
-void
-insertClassed(ClassIndex& byClass, ClassHeads& heads,
-              const std::string& cls, std::pair<double, int> entry)
-{
-    auto& bucket = byClass[cls];
-    if (bucket.empty()) {
-        bucket.insert(entry);
-        heads.insert({entry.first, entry.second, cls});
-        return;
-    }
-    const std::pair<double, int> head = *bucket.begin();
-    bucket.insert(entry);
-    if (entry < head) {
-        heads.erase({head.first, head.second, cls});
-        heads.insert({entry.first, entry.second, cls});
-    }
-}
-
-/** Removes (key, shard) from cls, keeping `heads` consistent. */
-void
-eraseClassed(ClassIndex& byClass, ClassHeads& heads,
-             const std::string& cls, std::pair<double, int> entry)
-{
-    const auto it = byClass.find(cls);
-    SCAR_ASSERT(it != byClass.end(),
-                "fleet: routing index class missing on erase");
-    auto& bucket = it->second;
-    const bool wasHead = *bucket.begin() == entry;
-    bucket.erase(entry);
-    if (wasHead) {
-        heads.erase({entry.first, entry.second, cls});
-        if (!bucket.empty())
-            heads.insert({bucket.begin()->first,
-                          bucket.begin()->second, cls});
-    }
-    if (bucket.empty())
-        byClass.erase(it);
 }
 
 } // namespace
@@ -166,24 +120,19 @@ FleetSimulator::FleetSimulator(std::vector<ServedModel> catalog,
             caches_[options_.sharedCache ? 0 : s].get();
     }
 
-    // Routing pods: shards sharing a (package template, schedule
-    // cache) pair are interchangeable up to their previous-mix class,
-    // so they fold into one pod of the cluster -> pod -> shard
-    // hierarchy. '|' appears in neither half, so the key is injective.
-    std::map<std::string, int> podIndex;
-    podOf_.resize(shards_.size(), -1);
+    // Packages: shards sharing a (template signature, schedule cache)
+    // pair price a mix identically up to their own state, so they
+    // share one PackageQuote per routing decision.
+    std::map<std::pair<std::string, const AsyncScheduleCache*>, int>
+        packageIds;
+    packageOf_.resize(shards_.size());
     for (std::size_t s = 0; s < shards_.size(); ++s) {
-        const std::string key =
-            templates_[s].signature() + "|" +
-            std::to_string(options_.sharedCache ? 0
-                                                : static_cast<int>(s));
-        const auto [it, inserted] =
-            podIndex.emplace(key, static_cast<int>(pods_.size()));
-        if (inserted)
-            pods_.emplace_back();
-        pods_[it->second].shards.push_back(static_cast<int>(s));
-        podOf_[s] = it->second;
+        const auto [it, inserted] = packageIds.emplace(
+            std::make_pair(templates_[s].signature(), shards_[s].cache),
+            static_cast<int>(packageIds.size()));
+        packageOf_[s] = it->second;
     }
+    numPackages_ = packageIds.size();
     idx_.resize(shards_.size());
 }
 
@@ -321,11 +270,28 @@ FleetSimulator::estimateMakespanKeyed(const std::string& key,
     return sec;
 }
 
+const FleetSimulator::PackageQuote&
+FleetSimulator::quoteFor(Quotes& quotes, std::size_t s,
+                         const std::string& mixSig, const Scenario& mix)
+{
+    std::optional<PackageQuote>& slot =
+        quotes[static_cast<std::size_t>(packageOf_[s])];
+    if (!slot) {
+        PackageQuote& quote = slot.emplace();
+        quote.key = cacheKey(mixSig, s);
+        quote.peek = shards_[s].cache->peek(quote.key);
+        quote.makespanSec =
+            quote.peek.schedule != nullptr
+                ? quote.peek.schedule->makespanSec
+                : estimateMakespanKeyed(quote.key, s, mix);
+    }
+    return *slot;
+}
+
 double
 FleetSimulator::dispatchCostSec(std::size_t shard,
-                                const std::string& mixSig,
-                                const Scenario& mix, double nowSec,
-                                bool urgent)
+                                const PackageQuote& quote,
+                                double nowSec, bool urgent)
 {
     const Shard& sh = shards_[shard];
     const PreemptionOptions& preemption =
@@ -356,7 +322,6 @@ FleetSimulator::dispatchCostSec(std::size_t shard,
         waitSec += std::max(0.0, sh.pendingEndSec - nowSec);
     }
 
-    const std::string key = cacheKey(mixSig, shard);
     // The replay running right before this dispatch would be the
     // current one when busy, the parked one when a dispatch waits for
     // its solve, and the last finished one otherwise.
@@ -365,24 +330,19 @@ FleetSimulator::dispatchCostSec(std::size_t shard,
             ? sh.lastKey
             : (sh.hasPending ? sh.pendingKey : sh.lastKey);
     double switchSec = 0.0;
-    if (!prevKey.empty() && prevKey != key)
+    if (!prevKey.empty() && prevKey != quote.key)
         switchSec = options_.serving.switchOverheadSec;
 
-    const CachePeek peek = sh.cache->peek(key);
     double solveSec = 0.0;
-    double makespanSec;
-    if (peek.schedule != nullptr) {
-        makespanSec = peek.schedule->makespanSec;
-    } else if (peek.inFlight) {
+    if (quote.peek.inFlight) {
         // An in-flight solve lands while the backlog drains; only
         // the part outlasting the wait delays this dispatch.
-        solveSec = std::max(0.0, peek.readySec - nowSec - waitSec);
-        makespanSec = estimateMakespanKeyed(key, shard, mix);
-    } else {
+        solveSec =
+            std::max(0.0, quote.peek.readySec - nowSec - waitSec);
+    } else if (quote.peek.schedule == nullptr) {
         solveSec = options_.serving.modeledSolveSec;
-        makespanSec = estimateMakespanKeyed(key, shard, mix);
     }
-    return waitSec + switchSec + solveSec + makespanSec;
+    return waitSec + switchSec + solveSec + quote.makespanSec;
 }
 
 bool
@@ -402,29 +362,22 @@ FleetSimulator::routeDispatch(const std::string& mixSig,
                               const Scenario& mix, double nowSec,
                               bool allowDefer, bool urgent)
 {
-    // The indexed cluster -> pod -> shard path covers every policy
-    // when preemption is off (then no shard is ever suspended and no
-    // dispatch urgent — the two things the flat scan below handles
-    // specially). Preemptive fleets stay on the flat scan;
-    // indexedRouting = false forces it for A/B validation.
-    if (options_.indexedRouting &&
-        !options_.serving.preemption.enabled)
-        return routeIndexed(mixSig, mix, nowSec, allowDefer);
-
     const std::size_t n = shards_.size();
     auto isCandidate = [&](std::size_t s) {
         return routeCandidate(s, urgent);
     };
     // Per-shard completion costs, computed at most once per routing
-    // decision and shared between BestFit's pick and the
-    // routing-quality accounting below.
+    // decision off the package quotes and shared between BestFit's
+    // pick and the routing-quality accounting below.
+    Quotes quotes(numPackages_);
     std::vector<double> costSec;
     auto costs = [&]() -> const std::vector<double>& {
         if (costSec.empty()) {
             costSec.reserve(n);
             for (std::size_t s = 0; s < n; ++s)
-                costSec.push_back(
-                    dispatchCostSec(s, mixSig, mix, nowSec, urgent));
+                costSec.push_back(dispatchCostSec(
+                    s, quoteFor(quotes, s, mixSig, mix), nowSec,
+                    urgent));
         }
         return costSec;
     };
@@ -477,8 +430,10 @@ FleetSimulator::routeDispatch(const std::string& mixSig,
         // the deferral horizon (next boundary / solve-ready plus one
         // makespan of this mix); past it, the batch takes the best
         // idle candidate instead of waiting out a long replay.
-        if (deferralWithinHorizon(static_cast<std::size_t>(best),
-                                  mixSig, mix, nowSec))
+        const std::size_t occupied = static_cast<std::size_t>(best);
+        if (deferralWithinHorizon(
+                occupied, quoteFor(quotes, occupied, mixSig, mix),
+                nowSec))
             return -1;
         int cbest = -1;
         double cbestCost = kInf;
@@ -563,10 +518,11 @@ FleetSimulator::speculationTarget(const std::string& mixSig,
         // waits included: the shard BestFit would pick once free.
         // For an urgent mix the costs see boundary-preemption waits,
         // so the solve warms the shard the preemptor will suspend.
+        Quotes quotes(numPackages_);
         double bestCost = kInf;
         for (std::size_t s = 0; s < n; ++s) {
-            const double cost =
-                dispatchCostSec(s, mixSig, mix, nowSec, urgent);
+            const double cost = dispatchCostSec(
+                s, quoteFor(quotes, s, mixSig, mix), nowSec, urgent);
             if (target < 0 || cost < bestCost - kCostTieEps) {
                 target = static_cast<int>(s);
                 bestCost = cost;
@@ -653,10 +609,9 @@ FleetSimulator::syncShard(std::size_t s)
 {
     Shard& sh = shards_[s];
     ShardIndexKeys& k = idx_[s];
-    Pod& pod = pods_[podOf_[s]];
     const int si = static_cast<int>(s);
 
-    // Retract the keys the shard is registered under. Every index
+    // Retract the keys the shard is registered under. Every calendar
     // mutation flows through this function, so the stored snapshot
     // keys are exact.
     if (k.inBoundary)
@@ -665,15 +620,8 @@ FleetSimulator::syncShard(std::size_t s)
         pendingQueue_.erase({k.pendingSec, si});
     if (k.inBusyEnd)
         busyEndQueue_.erase({k.busyEndSec, si});
-    if (k.inFree) {
-        freeShards_.erase(si);
-        freeByBusy_.erase({k.freeBusySec, si});
-        eraseClassed(pod.freeByClass, pod.freeHeads, k.freeClass,
-                     {k.freeBusySec, si});
-    }
-    if (k.inOcc)
-        eraseClassed(pod.occByClass, pod.occHeads, k.occClass,
-                     {k.occAvailSec, si});
+    if (k.inFree)
+        --freeCount_;
     if (k.suspendedAny)
         --suspendedCount_;
     if (k.suspendedIdle)
@@ -705,29 +653,9 @@ FleetSimulator::syncShard(std::size_t s)
         ++suspendedIdleCount_;
 
     // Candidate rule of routeDispatch's non-urgent path.
-    const bool candidate = !busy && !sh.hasPending && !sh.hasSuspended;
-    k.inFree = candidate;
-    if (candidate) {
-        k.freeBusySec = sh.busySec;
-        k.freeClass = sh.lastKey;
-        freeShards_.insert(si);
-        freeByBusy_.insert({k.freeBusySec, si});
-        insertClassed(pod.freeByClass, pod.freeHeads, k.freeClass,
-                      {k.freeBusySec, si});
-    }
-    // Occupied shards index by availability instant (replay end or
-    // parked dispatch's projected end) — the dispatchCostSec wait is
-    // monotone in it, so the earliest-available shard of a class is
-    // its cheapest. prevKey follows dispatchCostSec: the running
-    // replay's key when busy, the parked dispatch's otherwise.
-    const bool occupied = busy || sh.hasPending;
-    k.inOcc = occupied;
-    if (occupied) {
-        k.occClass = busy ? sh.lastKey : sh.pendingKey;
-        k.occAvailSec = busy ? sh.busyUntilSec : sh.pendingEndSec;
-        insertClassed(pod.occByClass, pod.occHeads, k.occClass,
-                      {k.occAvailSec, si});
-    }
+    k.inFree = !busy && !sh.hasPending && !sh.hasSuspended;
+    if (k.inFree)
+        ++freeCount_;
 }
 
 void
@@ -736,90 +664,18 @@ FleetSimulator::rebuildCalendar()
     boundaryQueue_.clear();
     pendingQueue_.clear();
     busyEndQueue_.clear();
-    freeShards_.clear();
-    freeByBusy_.clear();
+    freeCount_ = 0;
     suspendedCount_ = 0;
     suspendedIdleCount_ = 0;
-    for (Pod& pod : pods_) {
-        pod.freeByClass.clear();
-        pod.freeHeads.clear();
-        pod.occByClass.clear();
-        pod.occHeads.clear();
-    }
     idx_.assign(shards_.size(), ShardIndexKeys{});
     for (std::size_t s = 0; s < shards_.size(); ++s)
         syncShard(s);
 }
 
-std::vector<int>
-FleetSimulator::candidateReps(const std::string& mixSig) const
-{
-    std::vector<int> reps;
-    for (const Pod& pod : pods_) {
-        if (pod.freeByClass.empty())
-            continue;
-        const std::string match = cacheKey(
-            mixSig, static_cast<std::size_t>(pod.shards.front()));
-        // No-switch candidates: the matching class and the
-        // never-dispatched class cost the same, so their joint
-        // cheapest — min by (busySec, shard) — represents both.
-        const std::pair<double, int>* noSwitch = nullptr;
-        for (const std::string& cls :
-             {match, std::string()}) {
-            const auto it = pod.freeByClass.find(cls);
-            if (it == pod.freeByClass.end())
-                continue;
-            const std::pair<double, int>& head = *it->second.begin();
-            if (noSwitch == nullptr || head < *noSwitch)
-                noSwitch = &head;
-        }
-        if (noSwitch != nullptr)
-            reps.push_back(noSwitch->second);
-        // Switching candidates all pay the same overhead, so the
-        // first class head outside the two no-switch classes — at
-        // most two skips — is the cheapest of them all.
-        for (const auto& head : pod.freeHeads) {
-            const std::string& cls = std::get<2>(head);
-            if (cls == match || cls.empty())
-                continue;
-            reps.push_back(std::get<1>(head));
-            break;
-        }
-    }
-    std::sort(reps.begin(), reps.end());
-    return reps;
-}
-
-std::vector<int>
-FleetSimulator::occupiedReps(const std::string& mixSig) const
-{
-    std::vector<int> reps;
-    for (const Pod& pod : pods_) {
-        if (pod.occByClass.empty())
-            continue;
-        const std::string match = cacheKey(
-            mixSig, static_cast<std::size_t>(pod.shards.front()));
-        const auto it = pod.occByClass.find(match);
-        if (it != pod.occByClass.end())
-            reps.push_back(it->second.begin()->second);
-        // An occupied shard always has a non-empty class (it holds
-        // or parks a dispatch), so only the match class is skipped.
-        for (const auto& head : pod.occHeads) {
-            if (std::get<2>(head) == match)
-                continue;
-            reps.push_back(std::get<1>(head));
-            break;
-        }
-    }
-    std::sort(reps.begin(), reps.end());
-    return reps;
-}
-
 bool
 FleetSimulator::deferralWithinHorizon(std::size_t s,
-                                      const std::string& mixSig,
-                                      const Scenario& mix,
-                                      double nowSec)
+                                      const PackageQuote& quote,
+                                      double nowSec) const
 {
     const Shard& sh = shards_[s];
     // The shard's next chance to take work: its next window boundary
@@ -828,136 +684,12 @@ FleetSimulator::deferralWithinHorizon(std::size_t s,
     const double nextFreeSec = sh.executor.busy()
                                    ? sh.executor.nextBoundarySec()
                                    : sh.pendingReadySec;
-    const std::string key = cacheKey(mixSig, s);
-    const CachePeek peek = sh.cache->peek(key);
-    const double makespanSec =
-        peek.schedule != nullptr
-            ? peek.schedule->makespanSec
-            : estimateMakespanKeyed(key, s, mix);
     const double horizonSec =
-        std::max(0.0, nextFreeSec - nowSec) + makespanSec;
+        std::max(0.0, nextFreeSec - nowSec) + quote.makespanSec;
     const double occWaitSec = std::max(
         0.0, (sh.executor.busy() ? sh.busyUntilSec : sh.pendingEndSec) -
                  nowSec);
     return occWaitSec <= horizonSec + kCostTieEps;
-}
-
-int
-FleetSimulator::routeIndexed(const std::string& mixSig,
-                             const Scenario& mix, double nowSec,
-                             bool allowDefer)
-{
-    // Preemption is off on this path, so the candidate set is
-    // exactly freeShards_ (no shard ever parks a suspended replay).
-    const std::size_t nCand = freeShards_.size();
-    std::map<int, double> costMemo;
-    auto costOf = [&](int s) {
-        const auto it = costMemo.find(s);
-        if (it != costMemo.end())
-            return it->second;
-        const double c = dispatchCostSec(
-            static_cast<std::size_t>(s), mixSig, mix, nowSec, false);
-        costMemo.emplace(s, c);
-        return c;
-    };
-    std::vector<int> reps;
-    auto ensureReps = [&]() {
-        if (reps.empty())
-            reps = candidateReps(mixSig);
-    };
-    auto leastLoaded = [&]() {
-        return freeByBusy_.empty() ? -1 : freeByBusy_.begin()->second;
-    };
-    // Folds the serial BestFit scan over the given shards (sorted by
-    // index, so the iteration-order tie-breaks match the flat loop).
-    auto fold = [&](const std::vector<int>& pool,
-                    bool candidatesOnly) {
-        int best = -1;
-        double bestCost = kInf;
-        for (const int s : pool) {
-            const bool candidate = idx_[s].inFree;
-            if (candidatesOnly && !candidate)
-                continue;
-            const double cost = costOf(s);
-            bool better = best < 0 || cost < bestCost - kCostTieEps;
-            if (!better && cost < bestCost + kCostTieEps) {
-                const bool bestCandidate = idx_[best].inFree;
-                better =
-                    (candidate && !bestCandidate) ||
-                    (candidate == bestCandidate &&
-                     shards_[s].busySec < shards_[best].busySec);
-            }
-            if (better) {
-                best = s;
-                bestCost = cost;
-            }
-        }
-        return best;
-    };
-
-    int chosen = -1;
-    switch (options_.routing) {
-      case RoutingPolicy::RoundRobin: {
-        if (!freeShards_.empty()) {
-            auto it = freeShards_.lower_bound(
-                static_cast<int>(rrNext_));
-            if (it == freeShards_.end())
-                it = freeShards_.begin();
-            chosen = *it;
-            rrNext_ = static_cast<std::size_t>(chosen) + 1;
-        }
-        break;
-      }
-      case RoutingPolicy::LeastLoaded:
-        chosen = leastLoaded();
-        break;
-      case RoutingPolicy::MixAffinity: {
-        const int target =
-            static_cast<int>(fnv1a(mixSig) % shards_.size());
-        chosen = freeShards_.count(target) > 0 ? target
-                                               : leastLoaded();
-        break;
-      }
-      case RoutingPolicy::BestFit: {
-        ensureReps();
-        std::vector<int> pool = reps;
-        if (allowDefer) {
-            const std::vector<int> occ = occupiedReps(mixSig);
-            pool.insert(pool.end(), occ.begin(), occ.end());
-            std::sort(pool.begin(), pool.end());
-        }
-        const int best = fold(pool, false);
-        if (best < 0) {
-            chosen = -1;
-        } else if (idx_[best].inFree) {
-            chosen = best;
-        } else if (deferralWithinHorizon(
-                       static_cast<std::size_t>(best), mixSig, mix,
-                       nowSec)) {
-            chosen = -1; // defer: the occupied shard frees in time
-        } else {
-            // Past the deferral horizon: best idle candidate instead.
-            chosen = fold(pool, true);
-        }
-        break;
-      }
-    }
-    if (chosen < 0)
-        return -1;
-
-    // Routing-quality accounting, identical to the flat scan: the
-    // pod representatives cover every pod's cheapest candidate, so
-    // their minimum is the fleet-wide minimum candidate cost.
-    if (nCand >= 2) {
-        ++contestedRoutes_;
-        ensureReps();
-        double minCost = kInf;
-        for (const int s : reps)
-            minCost = std::min(minCost, costOf(s));
-        if (costOf(chosen) <= minCost + kCostTieEps)
-            ++costOptimalRoutes_;
-    }
-    return chosen;
 }
 
 /** Mutable state of one run(), shared by the event handlers. */
@@ -1116,9 +848,8 @@ FleetSimulator::beginRun(RunState& st)
         });
     }
 
-    // The per-run reset above cleared lastKey (the routing class)
-    // and the accounting the calendar keys snapshot, so re-derive
-    // every index entry before the loop reads them.
+    // Derive every calendar entry from the reset shards before the
+    // loop reads them.
     rebuildCalendar();
 }
 
@@ -1140,7 +871,7 @@ FleetSimulator::anyCandidate(bool urgent) const
 {
     // Mirrors routeCandidate: a shard parking a suspended replay only
     // counts for urgent dispatches.
-    return !freeShards_.empty() || (urgent && suspendedIdleCount_ > 0);
+    return freeCount_ > 0 || (urgent && suspendedIdleCount_ > 0);
 }
 
 bool
@@ -1251,7 +982,7 @@ FleetSimulator::formDecodeRound(RunState& st)
     // appear only at commitTick (prefill completion, round end) or a
     // join cut, so the very next loop iteration sees them here — the
     // event calendar needs no extra timer for decode work.
-    if (!llmEnabled_ || freeShards_.empty() ||
+    if (!llmEnabled_ || freeCount_ == 0 ||
         st.admission.decodeQueuedCount() == 0)
         return false;
     const bool continuous = options_.serving.admission.llmBatching ==
@@ -1316,7 +1047,7 @@ FleetSimulator::routeReadyBatch(RunState& st)
     // instead of waiting out the batching timer.
     const bool partialReady =
         options_.serving.admission.speculativePartialDispatch &&
-        admission.queuedCount() > 0 && !freeShards_.empty();
+        admission.queuedCount() > 0 && freeCount_ > 0;
     if (!(admission.ready(st.nowSec) || urgent || partialReady) ||
         !anyCandidate(urgent))
         return false;
@@ -1727,7 +1458,7 @@ FleetSimulator::drainQuietInterval(RunState& st, const NextEvent& ev)
     // inter-arrival gap. Preemption disables absorption: an absorbed
     // arrival could carry an earlier deadline and move the urgency
     // crossing into the interval's past.
-    const bool absorbArrivals = freeShards_.empty() &&
+    const bool absorbArrivals = freeCount_ == 0 &&
                                 !options_.speculativeSolve &&
                                 !preemptive;
     const double bound = quietIntervalBound(st, ev, absorbArrivals);

@@ -81,25 +81,20 @@
  * conservativeness argument.
  *
  * Event calendar: the per-event O(shards) scans of the serial loop
- * (next boundary, next parked-ready, candidate checks) are replaced
- * by incrementally maintained ordered indexes — a boundary queue, a
- * parked-solve queue, a replay-end queue, and free/occupied shard
- * sets — all updated at a single choke point (syncShard) whenever a
- * shard changes state, so picking the next event is O(log shards).
+ * (next boundary, next parked-ready, replay end) are replaced by
+ * incrementally maintained ordered queues — a boundary queue, a
+ * parked-solve queue and a replay-end queue — plus counts of free and
+ * suspended shards, all updated at a single choke point (syncShard)
+ * whenever a shard changes state, so picking the next event is
+ * O(log shards).
  *
- * Hierarchical routing: shards are grouped into pods of identical
- * (package template, schedule cache) pairs — the cluster -> pod ->
- * shard hierarchy. Within a pod, every idle shard with the same
- * previous-mix class (same last replayed key, or never dispatched)
- * has the *same* BestFit cost for a given mix, and the occupied cost
- * is monotone in the shard's availability instant, so each pod is
- * represented by O(1) cheapest-in-class heads and BestFit folds over
- * O(pods) representatives instead of all N shards — O(log N)
- * maintenance per state change. The fold replays the serial
- * tie-break rules over the representatives, so the chosen shard and
- * the routing-quality counters match the flat scan (the one
- * documented exception: chains of distinct costs spaced closer than
- * the 1e-12 tie epsilon can tie-break differently).
+ * Routing: one flat scan over the shards serves every policy. BestFit
+ * prices each shard in O(1) off a per-package quote: shards sharing a
+ * (template signature, schedule cache) package share the mix's cache
+ * key, the cache's view of it and the makespan, so one routing
+ * decision builds the (mix, package) key string — hundreds of bytes
+ * for a multi-model mix — and probes the cache once per package, not
+ * once per shard.
  */
 
 #ifndef SCAR_RUNTIME_FLEET_H
@@ -107,9 +102,9 @@
 
 #include <map>
 #include <memory>
+#include <optional>
 #include <set>
 #include <string>
-#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -265,19 +260,6 @@ struct FleetOptions
      */
     bool bestFitDefer = true;
     /**
-     * Route through the hierarchical cluster -> pod -> shard index
-     * (O(log N) candidates per dispatch) instead of the flat O(N)
-     * shard scan. The indexed path reproduces the flat scan's
-     * choices — same cost model, same tie-breaks — so this exists
-     * only as an A/B lever for validation and for measuring the
-     * routing speedup; preemptive fleets always use the flat scan
-     * (suspension states change candidates mid-replay). Equality can
-     * diverge only on exact cost ties closer than the routing
-     * epsilon, which real (heterogeneous, staggered) traffic does
-     * not produce.
-     */
-    bool indexedRouting = true;
-    /**
      * One schedule cache shared by every shard (each (mix, package)
      * pair solved once fleet-wide) versus a private cache per shard
      * (pairs re-solved per shard, but no cross-shard coupling — pair
@@ -410,9 +392,33 @@ class FleetSimulator
                                  const Scenario& mix);
 
     /**
-     * BestFit's completion-cost estimate for dispatching the mix on
-     * shard s at nowSec: availability wait + switch overhead + solve
-     * wait + makespan (cached when resident, estimated otherwise).
+     * One mix priced on one package. Shards sharing a (template
+     * signature, schedule cache) package share the mix's cache key,
+     * the cache's view of it, and its makespan, so one routing
+     * decision derives them once per package instead of once per
+     * shard.
+     */
+    struct PackageQuote
+    {
+        std::string key;          ///< (mix, package) cache key
+        CachePeek peek;           ///< the package cache's view of key
+        double makespanSec = 0.0; ///< cached makespan, else estimate
+    };
+
+    /** One routing decision's quotes, one slot per package. */
+    using Quotes = std::vector<std::optional<PackageQuote>>;
+
+    /** Shard s's package quote for the mix, built into `quotes` on
+     *  first use (nothing a decision does changes a quote). */
+    const PackageQuote& quoteFor(Quotes& quotes, std::size_t s,
+                                 const std::string& mixSig,
+                                 const Scenario& mix);
+
+    /**
+     * BestFit's completion-cost estimate for dispatching the quoted
+     * mix on shard s at nowSec: availability wait + switch overhead +
+     * solve wait + makespan (cached when resident, estimated
+     * otherwise).
      * With `urgent` set and preemption enabled, a busy shard is
      * charged only the wait to its next window boundary — the instant
      * boundary preemption would free it — instead of its full replay
@@ -423,8 +429,7 @@ class FleetSimulator
      * replay's remaining windows for non-urgent traffic.
      */
     double dispatchCostSec(std::size_t shard,
-                           const std::string& mixSig,
-                           const Scenario& mix, double nowSec,
+                           const PackageQuote& quote, double nowSec,
                            bool urgent);
 
     /**
@@ -471,34 +476,9 @@ class FleetSimulator
      */
     void resumeSuspended(Shard& shard, double nowSec);
 
-    /** Ordered (key, shard) indexes: class -> cheapest-first shards. */
-    using ClassIndex =
-        std::map<std::string, std::set<std::pair<double, int>>>;
-    /** The head (cheapest entry) of every class, globally ordered. */
-    using ClassHeads = std::set<std::tuple<double, int, std::string>>;
-
-    /**
-     * One routing pod: the shards sharing a (package template,
-     * schedule cache) pair. Within a pod a given mix has one cache
-     * key, one makespan estimate, and one switch-overhead rule per
-     * previous-mix class, so the cheapest candidate of each class —
-     * the head of its (busySec, shard) set — represents every shard
-     * of that class in the BestFit fold. Occupied shards are indexed
-     * by availability instant: their cost is monotone in it, so the
-     * earliest-available shard of a class is its cheapest.
-     */
-    struct Pod
-    {
-        std::vector<int> shards;
-        ClassIndex freeByClass; ///< (busySec, shard) per class
-        ClassHeads freeHeads;
-        ClassIndex occByClass;  ///< (availEndSec, shard) per class
-        ClassHeads occHeads;
-    };
-
-    /** The calendar/index keys shard s is currently registered
-     *  under, so syncShard can erase them exactly before re-deriving
-     *  the shard's state. */
+    /** The calendar keys shard s is currently registered under, so
+     *  syncShard can erase them exactly before re-deriving the
+     *  shard's state. */
     struct ShardIndexKeys
     {
         bool inBoundary = false;
@@ -508,18 +488,13 @@ class FleetSimulator
         bool inBusyEnd = false;
         double busyEndSec = 0.0;
         bool inFree = false;
-        double freeBusySec = 0.0;
-        std::string freeClass;
-        bool inOcc = false;
-        double occAvailSec = 0.0;
-        std::string occClass;
         bool suspendedAny = false;
         bool suspendedIdle = false;
     };
 
     /**
-     * The single choke point keeping every calendar and routing
-     * index consistent with shard s's state. Called after each
+     * The single choke point keeping the event calendar consistent
+     * with shard s's state. Called after each
      * mutation of a shard (park, start, tick, suspend, resume,
      * quiet-interval drain); O(log N) per call.
      */
@@ -529,40 +504,14 @@ class FleetSimulator
     void rebuildCalendar();
 
     /**
-     * The candidate representatives for mixSig: for every pod, the
-     * cheapest idle shard of the matching / never-dispatched classes
-     * and the cheapest idle shard that would pay a switch — at most
-     * two per pod, covering the pod's full candidate cost range —
-     * sorted by shard index so a fold over them replays the serial
-     * scan's tie-breaks.
+     * BestFit's deferral-horizon rule: deferring to occupied shard s
+     * is only allowed while the wait for it (its backlog end) stays
+     * within the preemption-style horizon — the shard's next free
+     * event (window boundary when replaying, solve-ready when parked)
+     * plus one makespan of the quoted mix.
      */
-    std::vector<int> candidateReps(const std::string& mixSig) const;
-
-    /** As candidateReps, for the occupied (busy or parked) shards:
-     *  the earliest-available shard of the matching class and of the
-     *  cheapest switching class per pod. */
-    std::vector<int> occupiedReps(const std::string& mixSig) const;
-
-    /**
-     * The satellite deferral-horizon rule shared by the flat and
-     * indexed BestFit paths: deferring to occupied shard s is only
-     * allowed while the wait for it (its backlog end) stays within
-     * the preemption-style horizon — the shard's next free event
-     * (window boundary when replaying, solve-ready when parked) plus
-     * one makespan of the deferred mix.
-     */
-    bool deferralWithinHorizon(std::size_t s,
-                               const std::string& mixSig,
-                               const Scenario& mix, double nowSec);
-
-    /**
-     * The O(pods) BestFit pick over class representatives; same
-     * contract as the flat fold in routeDispatch (returns -1 to
-     * defer). Only used when preemption is off — urgent traffic and
-     * suspended-shard reservations stay on the flat scan.
-     */
-    int routeIndexed(const std::string& mixSig, const Scenario& mix,
-                     double nowSec, bool allowDefer);
+    bool deferralWithinHorizon(std::size_t s, const PackageQuote& quote,
+                               double nowSec) const;
 
     // --- The event loop: run() dispatches to one handler per step ---
     /** Mutable state of one run() shared by the handlers below
@@ -635,14 +584,14 @@ class FleetSimulator
     std::set<std::pair<double, int>> boundaryQueue_; ///< busy shards
     std::set<std::pair<double, int>> pendingQueue_;  ///< parked shards
     std::set<std::pair<double, int>> busyEndQueue_;  ///< replay ends
-    std::set<int> freeShards_; ///< idle, unparked, not suspended
-    std::set<std::pair<double, int>> freeByBusy_; ///< (busySec, shard)
+    int freeCount_ = 0;          ///< idle, unparked, not suspended
     int suspendedCount_ = 0;     ///< shards owing a resume
     int suspendedIdleCount_ = 0; ///< ... of which currently idle
 
-    // --- Hierarchical routing (cluster -> pod -> shard) ---
-    std::vector<Pod> pods_;
-    std::vector<int> podOf_; ///< shard -> pod
+    /** Shard -> package: shards with equal (template signature,
+     *  schedule cache) share an id, so they share a PackageQuote. */
+    std::vector<int> packageOf_;
+    std::size_t numPackages_ = 0;
 
     /** Memoized WindowEvaluator makespan estimates, keyed like the
      *  schedule caches by (mix, package) signature. */

@@ -328,6 +328,60 @@ TEST(HetFleet, BestFitRoutesAreCostOptimalByConstruction)
 }
 
 /**
+ * BestFit prices each shard off its package's quote — one (cache key,
+ * cache peek, makespan) per (template signature, schedule cache)
+ * pair. A quote shared across caches or across templates would price
+ * a shard off another shard's cache contents. In run 1 two cap-1
+ * requests of different models land on shards 0 and 1 (each solving
+ * into its own cache entry); in run 2 a lone request of the model
+ * shard 1 solved must go to shard 1 — a shard 0 quote would show the
+ * full modeled solve on both shards, tie, and send it to shard 0.
+ */
+TEST(HetFleet, BestFitQuotesArePerTemplateAndCache)
+{
+    std::vector<ServedModel> catalog(2);
+    catalog[0].model = zoo::eyeCod(1);
+    catalog[1].model = zoo::handSP(1);
+    for (ServedModel& sm : catalog)
+        sm.rateRps = 100.0;
+    const auto first =
+        traceFromArrivals(catalog, {{0.0, 0}, {0.001, 1}});
+    const auto second = traceFromArrivals(catalog, {{0.0, 1}});
+
+    struct Case
+    {
+        const char* name;
+        std::vector<Mcm> templates;
+        bool sharedCache;
+    };
+    const Case cases[] = {
+        {"identical packages, per-shard caches",
+         {fastPackage(), fastPackage()}, false},
+        {"different packages, one shared cache",
+         {fastPackage(), slowPackage()}, true}};
+    for (const Case& c : cases) {
+        FleetOptions options;
+        options.shardTemplates = c.templates;
+        options.sharedCache = c.sharedCache;
+        options.routing = RoutingPolicy::BestFit;
+        options.bestFitDefer = false;
+        options.speculativeSolve = false;
+        options.serving.modeledSolveSec = 1.0;
+        FleetSimulator fleet(catalog, fastPackage(), options);
+
+        const ServingReport warm = fleet.run(first);
+        ASSERT_EQ(warm.shards[0].dispatches, 1) << c.name;
+        ASSERT_EQ(warm.shards[1].dispatches, 1) << c.name;
+
+        const ServingReport report = fleet.run(second);
+        EXPECT_EQ(report.shards[1].dispatches, 1)
+            << c.name << ": the shard holding the schedule must win";
+        EXPECT_EQ(report.solveStallSec, 0.0) << c.name;
+        EXPECT_EQ(report.cache.misses, 0) << c.name;
+    }
+}
+
+/**
  * The wasted-speculation regression: a (mix, package) schedule that
  * is already resident — or already solving — in the cache of the
  * shard the dispatch is predicted to land on must not trigger another

@@ -5,11 +5,10 @@
  * trace, metrics, samples — against the per-tick path on plain,
  * saturated, preemptive, LLM continuous/static, join-cut, and mixed
  * LLM + vision fleets), the ulp-exact boundary probes its bound keys
- * on, the hierarchical cluster -> pod -> shard routing index
- * (identical decisions and routing-quality counters to the flat
- * BestFit scan on small fleets), and the signature-striped
+ * on, BestFit's routing-quality counters on a fleet whose packages
+ * hold several shards (shared quotes), and the single-lock
  * AsyncScheduleCache (exactly one solve per key under concurrent
- * callers, stripe-count rules).
+ * callers).
  */
 
 #include <gtest/gtest.h>
@@ -21,7 +20,6 @@
 #include <vector>
 
 #include "arch/mcm_templates.h"
-#include "common/error.h"
 #include "common/thread_pool.h"
 #include "eval/reporter.h"
 #include "obs/flight_recorder.h"
@@ -72,14 +70,6 @@ struct RunArtifacts
     std::string metricsJson;
     std::string metricsCsv;
     std::string samplesCsv;
-
-    bool operator==(const RunArtifacts& o) const
-    {
-        return report == o.report && traceJson == o.traceJson &&
-               metricsJson == o.metricsJson &&
-               metricsCsv == o.metricsCsv &&
-               samplesCsv == o.samplesCsv;
-    }
 };
 
 RunArtifacts
@@ -104,14 +94,6 @@ runFleet(FleetOptions options, const std::vector<ServedModel>& catalog,
     out.metricsCsv = rec.metrics().toCsv();
     out.samplesCsv = rec.samples().toCsv();
     return out;
-}
-
-RunArtifacts
-runFleet(FleetOptions options, const std::vector<ServedModel>& catalog,
-         int requests, unsigned seed, ServingReport* reportOut = nullptr)
-{
-    return runFleet(std::move(options), catalog,
-                    poissonTrace(catalog, requests, seed), reportOut);
 }
 
 /**
@@ -445,45 +427,10 @@ TEST(ParallelFleet, BoundaryProbesAreUlpExact)
     EXPECT_EQ(tick.timeSec, end);
 }
 
-TEST(ParallelFleet, IndexedRoutingMatchesFlatBestFit)
+TEST(ParallelFleet, BestFitIsCostOptimalOnSharedQuotes)
 {
-    // Acceptance gate: on small fleets the hierarchical index must
-    // reproduce the flat scan's decisions and its routing-quality
-    // counters exactly. Heterogeneous templates and a Poisson stream
-    // keep candidate costs distinct (no eps-level ties).
-    const auto catalog = twoModelCatalog();
-    for (const bool defer : {true, false}) {
-        FleetOptions options = hetFleetOptions();
-        options.bestFitDefer = defer;
-        options.indexedRouting = false;
-        const RunArtifacts flat = runFleet(options, catalog, 400, 11);
-        options.indexedRouting = true;
-        const RunArtifacts indexed =
-            runFleet(options, catalog, 400, 11);
-        EXPECT_TRUE(flat == indexed) << "bestFitDefer = " << defer;
-    }
-}
-
-TEST(ParallelFleet, IndexedRoutingMatchesFlatOnEveryPolicy)
-{
-    const auto catalog = twoModelCatalog();
-    for (const RoutingPolicy policy :
-         {RoutingPolicy::RoundRobin, RoutingPolicy::LeastLoaded,
-          RoutingPolicy::MixAffinity}) {
-        FleetOptions options = hetFleetOptions();
-        options.routing = policy;
-        options.indexedRouting = false;
-        const RunArtifacts flat = runFleet(options, catalog, 300, 23);
-        options.indexedRouting = true;
-        const RunArtifacts indexed =
-            runFleet(options, catalog, 300, 23);
-        EXPECT_TRUE(flat == indexed)
-            << "policy " << static_cast<int>(policy);
-    }
-}
-
-TEST(ParallelFleet, IndexedRoutingKeepsCostOptimalityCounters)
-{
+    // hetFleetOptions() puts two identical shards behind the shared
+    // cache, so one package quote prices both of them.
     const auto catalog = twoModelCatalog();
     FleetOptions options = hetFleetOptions();
     FleetSimulator fleet(catalog,
@@ -491,14 +438,14 @@ TEST(ParallelFleet, IndexedRoutingKeepsCostOptimalityCounters)
                          options);
     const auto trace = poissonTrace(catalog, 400, 31);
     const ServingReport report = fleet.run(trace);
-    // BestFit is cost-optimal by construction; the indexed path must
-    // keep both the contested count and the optimal count intact.
+    // BestFit is cost-optimal by construction: every contested pick
+    // must be one the cost model ranks cheapest.
     EXPECT_GT(report.contestedRoutes, 0);
     EXPECT_EQ(report.costOptimalRoutes, report.contestedRoutes);
     EXPECT_DOUBLE_EQ(report.costOptimalRouteFrac, 1.0);
 }
 
-// ---- striped AsyncScheduleCache ------------------------------------
+// ---- single-lock AsyncScheduleCache --------------------------------
 
 Scenario
 mixNamed(const std::string& name, int batch)
@@ -526,24 +473,6 @@ stubSchedule(const Scenario& mix)
     return result;
 }
 
-TEST(StripedCache, DefaultStripeCountsFollowTheCapacityRule)
-{
-    ThreadPool pool(2);
-    const AsyncScheduleCache unbounded(pool);
-    EXPECT_EQ(unbounded.stripeCount(), 16);
-
-    ScheduleCacheOptions bounded;
-    bounded.capacity = 8;
-    const AsyncScheduleCache lru(pool, bounded);
-    EXPECT_EQ(lru.stripeCount(), 1)
-        << "a global LRU order needs a global lock";
-
-    const AsyncScheduleCache four(pool, ScheduleCacheOptions{}, 4);
-    EXPECT_EQ(four.stripeCount(), 4);
-
-    EXPECT_THROW(AsyncScheduleCache(pool, bounded, 4), FatalError);
-}
-
 TEST(StripedCache, SolvesExactlyOncePerKeyUnderConcurrency)
 {
     ThreadPool pool(4);
@@ -556,7 +485,7 @@ TEST(StripedCache, SolvesExactlyOncePerKeyUnderConcurrency)
 
     // 8 distinct keys, 4 racing getOrCompute callers per key: each
     // key must solve exactly once and every caller must see the same
-    // entry, stripes notwithstanding.
+    // entry.
     constexpr int kKeys = 8;
     constexpr int kCallers = 4;
     std::vector<std::shared_ptr<const CachedSchedule>> seen(
@@ -596,7 +525,7 @@ TEST(StripedCache, PrefetchLookupJoinSpanStripes)
     for (int k = 0; k < 6; ++k)
         cache.prefetch(mixNamed("pf" + std::to_string(k), k + 1),
                        compute, 0.5);
-    // Idempotent per key, regardless of stripe placement.
+    // Idempotent per key.
     for (int k = 0; k < 6; ++k)
         cache.prefetch(mixNamed("pf" + std::to_string(k), k + 1),
                        compute, 0.5);
@@ -604,7 +533,7 @@ TEST(StripedCache, PrefetchLookupJoinSpanStripes)
     EXPECT_EQ(solves.load(), 6);
     EXPECT_EQ(cache.size(), 6u);
 
-    // lookup() joins the stored entries as hits on their stripes.
+    // lookup() joins the stored entries as hits.
     for (int k = 0; k < 6; ++k) {
         const Scenario mix = mixNamed("pf" + std::to_string(k), k + 1);
         const AsyncLookup found =
