@@ -28,7 +28,7 @@
 #include "common/csv.h"
 #include "common/table.h"
 #include "eval/reporter.h"
-#include "runtime/serving_sim.h"
+#include "runtime/fleet.h"
 
 namespace
 {
@@ -92,10 +92,9 @@ main()
             catalog.push_back(std::move(sm));
         }
 
-        ServingOptions options;
-        options.admission.maxQueueDelaySec = 0.1;
-        ServingSimulator sim(catalog, templates::hetSides3x3(),
-                             options);
+        FleetOptions options;
+        options.serving.admission.maxQueueDelaySec = 0.1;
+        FleetSimulator sim(catalog, templates::hetSides3x3(), options);
         const auto start = std::chrono::steady_clock::now();
         const ServingReport report = sim.run(
             poissonTrace(catalog, kRequests, /*seed=*/7));

@@ -50,6 +50,26 @@ parseInteger(const std::string& token, int line, const std::string& what)
     return static_cast<T>(value);
 }
 
+/**
+ * Runs `build` (a model or layer construction step whose validation
+ * knows nothing of the file) and prefixes any FatalError it raises
+ * with the config line it came from.
+ */
+template <typename Build>
+auto
+atLine(int line, Build&& build)
+{
+    try {
+        return build();
+    } catch (const FatalError& e) {
+        std::string msg = e.what();
+        const std::string prefix = "fatal: ";
+        if (msg.compare(0, prefix.size(), prefix) == 0)
+            msg.erase(0, prefix.size());
+        fatal("line ", line, ": ", msg);
+    }
+}
+
 /** A parsed line: the keyword plus positional and key=value tokens. */
 struct ConfigLine
 {
@@ -166,9 +186,12 @@ appendCustomLayer(Model& model, const ConfigLine& line)
                      ? line.str("name")
                      : line.keyword + std::to_string(layer.id);
     if (line.keyword == "gemm") {
-        model.layers.push_back(
-            makeGemmLayer(layer.id, layer.name, line.num("m"),
-                          line.num("n"), line.num("k")));
+        const std::int64_t m = line.num("m");
+        const std::int64_t n = line.num("n");
+        const std::int64_t k = line.num("k");
+        model.layers.push_back(atLine(line.number, [&] {
+            return makeGemmLayer(layer.id, layer.name, m, n, k);
+        }));
         return;
     }
     if (line.keyword == "conv" || line.keyword == "dwconv") {
@@ -196,7 +219,7 @@ appendCustomLayer(Model& model, const ConfigLine& line)
         fatal("line ", line.number, ": unknown layer kind '",
               line.keyword, "'");
     }
-    layer.validate();
+    atLine(line.number, [&] { layer.validate(); });
     model.layers.push_back(std::move(layer));
 }
 
@@ -206,6 +229,7 @@ Scenario
 parseScenario(std::istream& in)
 {
     Scenario sc;
+    std::vector<int> modelLines; ///< the `model` line of each model
     Model* currentCustom = nullptr;
     std::string raw;
     int number = 0;
@@ -230,13 +254,16 @@ parseScenario(std::istream& in)
                                               : "custom";
                 model.batch = batch;
                 sc.models.push_back(std::move(model));
+                modelLines.push_back(number);
                 currentCustom = &sc.models.back();
             } else {
                 auto it = zooBuilders().find(kind);
                 SCAR_REQUIRE(it != zooBuilders().end(), "line ",
                              number, ": unknown zoo model '", kind,
                              "'");
-                sc.models.push_back(it->second(batch));
+                sc.models.push_back(
+                    atLine(number, [&] { return it->second(batch); }));
+                modelLines.push_back(number);
                 currentCustom = nullptr;
             }
         } else {
@@ -246,6 +273,10 @@ parseScenario(std::istream& in)
         }
     }
     SCAR_REQUIRE(!sc.models.empty(), "workload file defines no models");
+    // Custom models are complete only here (an empty one, a zero
+    // batch): check each against its own `model` line first.
+    for (std::size_t m = 0; m < sc.models.size(); ++m)
+        atLine(modelLines[m], [&] { sc.models[m].finalize(); });
     sc.finalize();
     return sc;
 }

@@ -1,5 +1,6 @@
 #include "runtime/async_schedule_cache.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "common/error.h"
@@ -11,8 +12,8 @@ namespace runtime
 {
 
 AsyncScheduleCache::AsyncScheduleCache(ThreadPool& pool,
-                                       ScheduleCacheOptions options)
-    : pool_(pool), store_(options)
+                                       std::size_t capacity)
+    : pool_(pool), capacity_(capacity)
 {
 }
 
@@ -33,17 +34,41 @@ AsyncScheduleCache::~AsyncScheduleCache()
     }
 }
 
+std::shared_ptr<const CachedSchedule>
+AsyncScheduleCache::findLocked(const std::string& key)
+{
+    auto it = store_.find(key);
+    if (it == store_.end())
+        return nullptr;
+    lru_.splice(lru_.begin(), lru_, it->second.lruIt);
+    return it->second.schedule;
+}
+
+void
+AsyncScheduleCache::insertLocked(
+    const std::string& key, std::shared_ptr<const CachedSchedule> schedule)
+{
+    lru_.push_front(key);
+    store_.emplace(key, Stored{std::move(schedule), lru_.begin()});
+    if (capacity_ > 0 && store_.size() > capacity_) {
+        debug("schedule cache: evicting LRU mix ", lru_.back());
+        store_.erase(lru_.back());
+        lru_.pop_back();
+        ++stats_.evictions;
+    }
+}
+
 std::function<void()>
-AsyncScheduleCache::launchLocked(const std::string& signature,
+AsyncScheduleCache::launchLocked(const std::string& key,
                                  const Scenario& mix,
                                  const ComputeFn& compute,
                                  double readySec)
 {
     ++stats_.misses;
-    debug("async schedule cache: solve for mix ", signature);
+    debug("schedule cache: solve for mix ", key);
     auto promise = std::make_shared<
         std::promise<std::shared_ptr<const CachedSchedule>>>();
-    inflight_.emplace(signature,
+    inflight_.emplace(key,
                       Inflight{promise->get_future().share(), readySec});
     // The worker only fulfills the promise; promotion into the LRU
     // store happens at join() on the (virtual-time) event loop, so
@@ -61,90 +86,7 @@ AsyncScheduleCache::launchLocked(const std::string& signature,
     };
 }
 
-std::shared_ptr<const CachedSchedule>
-AsyncScheduleCache::getOrCompute(const Scenario& mix,
-                                 const ComputeFn& compute)
-{
-    return getOrCompute(mix.signature(), mix, compute);
-}
-
-std::shared_ptr<const CachedSchedule>
-AsyncScheduleCache::getOrCompute(const std::string& key,
-                                 const Scenario& mix,
-                                 const ComputeFn& compute)
-{
-    Future pending;
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        if (auto hit = store_.find(key)) {
-            ++stats_.hits;
-            return hit;
-        }
-        auto it = inflight_.find(key);
-        if (it != inflight_.end()) {
-            ++stats_.hits;
-            pending = it->second.future;
-        }
-    }
-    if (pending.valid())
-        return pending.get();
-
-    // First caller for this signature: register the in-flight entry,
-    // then compute on this thread (the caller would block anyway, and
-    // computing here cannot starve the pool of workers).
-    auto promise = std::make_shared<
-        std::promise<std::shared_ptr<const CachedSchedule>>>();
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        // Double-check: another thread may have won the race between
-        // the two critical sections.
-        if (auto hit = store_.find(key)) {
-            ++stats_.hits;
-            return hit;
-        }
-        auto it = inflight_.find(key);
-        if (it != inflight_.end()) {
-            ++stats_.hits;
-            pending = it->second.future;
-        } else {
-            ++stats_.misses;
-            inflight_.emplace(
-                key, Inflight{promise->get_future().share(), 0.0});
-        }
-    }
-    if (pending.valid())
-        return pending.get();
-
-    std::shared_ptr<const CachedSchedule> entry;
-    try {
-        entry = makeCachedSchedule(mix, compute);
-    } catch (...) {
-        promise->set_exception(std::current_exception());
-        {
-            // Drop the poisoned in-flight entry so a later caller can
-            // retry the solve instead of rejoining the dead future.
-            std::lock_guard<std::mutex> lock(mu_);
-            inflight_.erase(key);
-        }
-        throw;
-    }
-    promise->set_value(entry);
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        store_.insert(key, entry);
-        inflight_.erase(key);
-    }
-    return entry;
-}
-
-void
-AsyncScheduleCache::prefetch(const Scenario& mix,
-                             const ComputeFn& compute, double readySec)
-{
-    prefetch(mix.signature(), mix, compute, readySec);
-}
-
-void
+bool
 AsyncScheduleCache::prefetch(const std::string& key,
                              const Scenario& mix,
                              const ComputeFn& compute, double readySec)
@@ -152,20 +94,12 @@ AsyncScheduleCache::prefetch(const std::string& key,
     std::function<void()> solve;
     {
         std::lock_guard<std::mutex> lock(mu_);
-        if (store_.find(key) != nullptr || inflight_.count(key) > 0)
-            return;
+        if (store_.count(key) > 0 || inflight_.count(key) > 0)
+            return false;
         solve = launchLocked(key, mix, compute, readySec);
     }
     pool_.submit(std::move(solve));
-}
-
-AsyncLookup
-AsyncScheduleCache::lookup(const Scenario& mix,
-                           const ComputeFn& compute, double nowSec,
-                           double modeledSolveSec)
-{
-    return lookup(mix.signature(), mix, compute, nowSec,
-                  modeledSolveSec);
+    return true;
 }
 
 AsyncLookup
@@ -177,7 +111,7 @@ AsyncScheduleCache::lookup(const std::string& key, const Scenario& mix,
     std::function<void()> solve;
     {
         std::lock_guard<std::mutex> lock(mu_);
-        if (auto hit = store_.find(key)) {
+        if (auto hit = findLocked(key)) {
             ++stats_.hits;
             result.schedule = std::move(hit);
             result.readySec = nowSec;
@@ -204,9 +138,11 @@ AsyncScheduleCache::peek(const std::string& key) const
 {
     std::lock_guard<std::mutex> lock(mu_);
     CachePeek result;
-    result.schedule = store_.peek(key);
-    if (result.schedule != nullptr)
+    auto stored = store_.find(key);
+    if (stored != store_.end()) {
+        result.schedule = stored->second.schedule;
         return result;
+    }
     auto it = inflight_.find(key);
     if (it != inflight_.end()) {
         result.inFlight = true;
@@ -216,34 +152,35 @@ AsyncScheduleCache::peek(const std::string& key) const
 }
 
 std::shared_ptr<const CachedSchedule>
-AsyncScheduleCache::join(const std::string& signature)
+AsyncScheduleCache::join(const std::string& key)
 {
     Future pending;
     {
         std::lock_guard<std::mutex> lock(mu_);
-        if (auto hit = store_.find(signature))
+        if (auto hit = findLocked(key))
             return hit;
-        auto it = inflight_.find(signature);
+        auto it = inflight_.find(key);
         SCAR_REQUIRE(it != inflight_.end(),
-                     "async schedule cache: join of unknown mix ",
-                     signature);
+                     "schedule cache: join of unknown mix ", key);
         pending = it->second.future;
     }
     // Wall-clock wait outside the lock. A failed solve is erased
-    // before rethrowing so the signature can be retried rather than
-    // pinning a dead future in the in-flight map forever.
+    // before rethrowing so the key can be retried rather than pinning
+    // a dead future in the in-flight map forever.
     std::shared_ptr<const CachedSchedule> entry;
     try {
         entry = pending.get();
     } catch (...) {
         std::lock_guard<std::mutex> lock(mu_);
-        inflight_.erase(signature);
+        inflight_.erase(key);
         throw;
     }
     {
+        // Racing joiners of one key share one future; only the first
+        // to get here promotes it.
         std::lock_guard<std::mutex> lock(mu_);
-        if (inflight_.erase(signature) > 0)
-            store_.insert(signature, entry);
+        if (inflight_.erase(key) > 0)
+            insertLocked(key, entry);
     }
     return entry;
 }
@@ -267,9 +204,7 @@ ScheduleCacheStats
 AsyncScheduleCache::stats() const
 {
     std::lock_guard<std::mutex> lock(mu_);
-    ScheduleCacheStats stats = stats_;
-    stats.evictions = store_.stats().evictions;
-    return stats;
+    return stats_;
 }
 
 std::size_t
@@ -277,12 +212,6 @@ AsyncScheduleCache::size() const
 {
     std::lock_guard<std::mutex> lock(mu_);
     return store_.size();
-}
-
-std::size_t
-AsyncScheduleCache::capacity() const
-{
-    return store_.capacity();
 }
 
 } // namespace runtime

@@ -1,8 +1,9 @@
 /**
  * @file
- * Asynchronous schedule cache: future-backed schedule solves on the
- * worker pool, so a cache miss no longer stalls the serving event
- * loop while Scar::run searches.
+ * The serving runtime's schedule cache: one fleet-wide LRU store of
+ * solved schedules keyed by (mix signature, package signature), with
+ * future-backed solves on the worker pool, so a cache miss never
+ * stalls the serving event loop while Scar::run searches.
  *
  * Two clocks are in play and must not be confused:
  *  - Wall time: how long the background Scar::run actually takes on
@@ -15,18 +16,16 @@
  *    results bit-identical regardless of how fast the wall-clock
  *    solve happens to finish.
  *
- * Lifecycle of a signature:
+ * Lifecycle of a key:
  *   absent --prefetch/lookup--> in flight (future + virtual readySec)
- *          --join (at virtual readySec)--> stored (ScheduleCache LRU)
+ *          --join (at virtual readySec)--> stored (LRU store)
  *
- * In-flight entries are promoted to the LRU store only by join() (the
+ * In-flight entries are promoted to the store only by join() (the
  * deterministic event loop) or drainInFlight() (end of run), never by
  * the background worker, so the store's contents — and therefore LRU
- * eviction order — depend only on virtual time.
- *
- * getOrCompute() is the blocking convenience path (and the
- * concurrency contract: racing callers on one signature run the solve
- * exactly once); the serving loop uses prefetch/lookup/join.
+ * eviction order — depend only on virtual time. Only lookup() and
+ * join() touch a stored key's LRU position; peek() and prefetch()
+ * leave it alone.
  *
  * Counters: misses = solves launched (speculative prefetches
  * included), hits = dispatch-time lookups served without launching a
@@ -35,15 +34,16 @@
  * Locking: one mutex guards the store, the in-flight map and the
  * counters. Every critical section is a map probe or update — a
  * solve always runs outside the lock, and a background solve only
- * fulfills its promise — so the serving loop, the sole caller in a
- * fleet, never contends with the solver workers, and a bounded
- * store's LRU order is the one global order its capacity promises.
+ * fulfills its promise — so racing lookup()+join() callers solve each
+ * key exactly once, and a bounded store's LRU order is the one global
+ * order its capacity promises.
  */
 
 #ifndef SCAR_RUNTIME_ASYNC_SCHEDULE_CACHE_H
 #define SCAR_RUNTIME_ASYNC_SCHEDULE_CACHE_H
 
 #include <future>
+#include <list>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -82,20 +82,20 @@ struct CachePeek
     bool known() const { return schedule != nullptr || inFlight; }
 };
 
-/** Thread-safe, future-backed schedule cache over a worker pool. */
+/** Thread-safe, future-backed LRU schedule cache over a worker pool. */
 class AsyncScheduleCache
 {
   public:
-    using ComputeFn = ScheduleCache::ComputeFn;
-
     /**
      * @param pool workers for background solves (not owned); with
-     *        concurrency 1 solves run inline — the blocking PR 1 path
-     * @param options LRU bound for the completed-schedule store
+     *        concurrency 1 solves run inline — the blocking path
+     * @param capacity maximum stored schedules; the least-recently
+     *        used is evicted beyond it (0 keeps every schedule).
+     *        Evicted entries stay alive for any executor still
+     *        holding their shared_ptr.
      */
-    explicit AsyncScheduleCache(
-        ThreadPool& pool,
-        ScheduleCacheOptions options = ScheduleCacheOptions{});
+    explicit AsyncScheduleCache(ThreadPool& pool,
+                                std::size_t capacity = 0);
 
     /**
      * Blocks until every background solve has finished: solve tasks
@@ -106,28 +106,14 @@ class AsyncScheduleCache
     ~AsyncScheduleCache();
 
     /**
-     * Blocking path: returns the schedule for the mix, solving at
-     * most once per key even under concurrent callers — the first
-     * caller computes (on its own thread), the rest wait on the
-     * shared future. Keys by the mix signature; the explicit-key
-     * variant lets the fleet key by (mix, package) instead.
-     */
-    std::shared_ptr<const CachedSchedule>
-    getOrCompute(const Scenario& mix, const ComputeFn& compute);
-    std::shared_ptr<const CachedSchedule>
-    getOrCompute(const std::string& key, const Scenario& mix,
-                 const ComputeFn& compute);
-
-    /**
-     * Begins a background solve for the mix unless its key is
-     * already stored or in flight (idempotent — the serving loop
-     * calls this speculatively whenever a batch is ready but every
-     * shard is busy).
+     * Begins a background solve for the key unless it is already
+     * stored or in flight (idempotent — the serving loop calls this
+     * speculatively whenever a batch is ready but every shard is
+     * busy). Never touches a stored key's LRU position.
      * @param readySec virtual instant the result becomes usable
+     * @return whether this call launched a solve
      */
-    void prefetch(const Scenario& mix, const ComputeFn& compute,
-                  double readySec);
-    void prefetch(const std::string& key, const Scenario& mix,
+    bool prefetch(const std::string& key, const Scenario& mix,
                   const ComputeFn& compute, double readySec);
 
     /**
@@ -136,8 +122,6 @@ class AsyncScheduleCache
      * unknown key counts a miss and launches the solve with
      * readySec = nowSec + modeledSolveSec.
      */
-    AsyncLookup lookup(const Scenario& mix, const ComputeFn& compute,
-                       double nowSec, double modeledSolveSec);
     AsyncLookup lookup(const std::string& key, const Scenario& mix,
                        const ComputeFn& compute, double nowSec,
                        double modeledSolveSec);
@@ -146,18 +130,17 @@ class AsyncScheduleCache
      * Non-mutating probe: reports whether the key is stored or in
      * flight (and the in-flight virtual ready instant) without
      * touching the LRU order or the hit/miss counters. Cost-aware
-     * routing peeks at every candidate shard's cache; only the
-     * eventual dispatch-time lookup() may count and touch.
+     * routing peeks for every candidate package; only the eventual
+     * dispatch-time lookup() may count and touch.
      */
     CachePeek peek(const std::string& key) const;
 
     /**
-     * Waits (wall clock) for the signature's solve and promotes it
-     * into the store. The signature must be stored or in flight —
-     * i.e. join() only follows a prefetch/lookup/getOrCompute.
+     * Waits (wall clock) for the key's solve and promotes it into
+     * the store. The key must be stored or in flight — i.e. join()
+     * only follows a prefetch or lookup.
      */
-    std::shared_ptr<const CachedSchedule>
-    join(const std::string& signature);
+    std::shared_ptr<const CachedSchedule> join(const std::string& key);
 
     /**
      * Joins every in-flight solve (end of a serving run), so
@@ -173,8 +156,6 @@ class AsyncScheduleCache
     /** Completed schedules in the store (in-flight excluded). */
     std::size_t size() const;
 
-    std::size_t capacity() const;
-
   private:
     using Future =
         std::shared_future<std::shared_ptr<const CachedSchedule>>;
@@ -185,21 +166,39 @@ class AsyncScheduleCache
         double readySec = 0.0;
     };
 
+    struct Stored
+    {
+        std::shared_ptr<const CachedSchedule> schedule;
+        std::list<std::string>::iterator lruIt;
+    };
+
+    /** The stored schedule for the key (moved to the LRU front), or
+     *  nullptr. Caller must hold mu_. */
+    std::shared_ptr<const CachedSchedule>
+    findLocked(const std::string& key);
+
+    /** Stores a solved schedule, evicting the LRU entry beyond
+     *  capacity. Caller must hold mu_; the key must be absent. */
+    void insertLocked(const std::string& key,
+                      std::shared_ptr<const CachedSchedule> schedule);
+
     /**
-     * Registers the signature as in flight and returns the solve task
-     * for the caller to submit *after releasing the lock* (a
-     * zero-worker pool runs submissions inline, and the solve must
-     * never execute under the cache lock). Caller must hold mu_ and
-     * have checked absence.
+     * Registers the key as in flight and returns the solve task for
+     * the caller to submit *after releasing the lock* (a zero-worker
+     * pool runs submissions inline, and the solve must never execute
+     * under the cache lock). Caller must hold mu_ and have checked
+     * absence.
      */
-    std::function<void()> launchLocked(const std::string& signature,
+    std::function<void()> launchLocked(const std::string& key,
                                        const Scenario& mix,
                                        const ComputeFn& compute,
                                        double readySec);
 
     ThreadPool& pool_;
+    const std::size_t capacity_;
     mutable std::mutex mu_;
-    ScheduleCache store_;
+    std::map<std::string, Stored> store_;
+    std::list<std::string> lru_; ///< most recently used at the front
     std::map<std::string, Inflight> inflight_;
     ScheduleCacheStats stats_;
 };

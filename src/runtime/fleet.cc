@@ -56,7 +56,10 @@ routingPolicyName(RoutingPolicy policy)
 
 FleetSimulator::FleetSimulator(std::vector<ServedModel> catalog,
                                Mcm mcm, FleetOptions options)
-    : catalog_(std::move(catalog)), options_(std::move(options))
+    : catalog_(std::move(catalog)), options_(std::move(options)),
+      pool_(options_.serving.pool != nullptr ? options_.serving.pool
+                                             : &ThreadPool::global()),
+      cache_(*pool_, options_.serving.cacheCapacity)
 {
     SCAR_REQUIRE(!catalog_.empty(), "fleet: empty catalog");
     SCAR_REQUIRE(options_.shards >= 1, "fleet: need >= 1 shard");
@@ -105,44 +108,21 @@ FleetSimulator::FleetSimulator(std::vector<ServedModel> catalog,
                      "fleet: more catalog models than chiplets on ",
                      tpl.name());
 
-    pool_ = options_.serving.pool != nullptr ? options_.serving.pool
-                                             : &ThreadPool::global();
-    const ScheduleCacheOptions cacheOpts{
-        options_.serving.cacheCapacity};
-    const int numCaches =
-        options_.sharedCache ? 1 : options_.shards;
-    for (int c = 0; c < numCaches; ++c)
-        caches_.push_back(
-            std::make_unique<AsyncScheduleCache>(*pool_, cacheOpts));
     shards_.resize(options_.shards);
-    for (int s = 0; s < options_.shards; ++s) {
-        shards_[s].cache =
-            caches_[options_.sharedCache ? 0 : s].get();
-    }
 
-    // Packages: shards sharing a (template signature, schedule cache)
-    // pair price a mix identically up to their own state, so they
-    // share one PackageQuote per routing decision.
-    std::map<std::pair<std::string, const AsyncScheduleCache*>, int>
-        packageIds;
+    // Packages: shards sharing a template signature price a mix
+    // identically up to their own state, so they share one
+    // PackageQuote per routing decision.
+    std::map<std::string, int> packageIds;
     packageOf_.resize(shards_.size());
     for (std::size_t s = 0; s < shards_.size(); ++s) {
         const auto [it, inserted] = packageIds.emplace(
-            std::make_pair(templates_[s].signature(), shards_[s].cache),
+            templates_[s].signature(),
             static_cast<int>(packageIds.size()));
         packageOf_[s] = it->second;
     }
     numPackages_ = packageIds.size();
     idx_.resize(shards_.size());
-}
-
-const AsyncScheduleCache&
-FleetSimulator::cache(int shard) const
-{
-    SCAR_REQUIRE(shard >= 0 &&
-                     shard < static_cast<int>(shards_.size()),
-                 "fleet: cache index ", shard, " out of range");
-    return *shards_[shard].cache;
 }
 
 const Mcm&
@@ -261,7 +241,7 @@ FleetSimulator::estimateMakespanKeyed(const std::string& key,
     }
     const double sec =
         cyclesToSeconds(evaluator.evaluate(placement).latencyCycles);
-    // Keep the memo bounded like the schedule caches it parallels; a
+    // Keep the memo bounded like the schedule cache it parallels; a
     // wholesale reset is fine because re-deriving an estimate is a
     // microsecond-scale single-window pass.
     if (makespanEstimates_.size() >= kMakespanMemoCap)
@@ -279,7 +259,7 @@ FleetSimulator::quoteFor(Quotes& quotes, std::size_t s,
     if (!slot) {
         PackageQuote& quote = slot.emplace();
         quote.key = cacheKey(mixSig, s);
-        quote.peek = shards_[s].cache->peek(quote.key);
+        quote.peek = cache_.peek(quote.key);
         quote.makespanSec =
             quote.peek.schedule != nullptr
                 ? quote.peek.schedule->makespanSec
@@ -552,18 +532,7 @@ FleetSimulator::speculationTarget(const std::string& mixSig,
         break;
       }
     }
-    if (target < 0)
-        target = 0;
-    // A schedule already resident (or already solving) in the
-    // predicted target's cache makes a speculative solve pure waste:
-    // the dispatch-time lookup will hit. Before (mix, package) keys,
-    // only the shared-cache configuration was protected against this
-    // by prefetch idempotence.
-    const std::string key =
-        cacheKey(mixSig, static_cast<std::size_t>(target));
-    if (shards_[target].cache->peek(key).known())
-        return -1;
-    return target;
+    return target < 0 ? 0 : target;
 }
 
 void
@@ -715,7 +684,7 @@ struct FleetSimulator::RunState
     obs::FlightRecorder* const rec;
     /** One compute closure per shard: a schedule is only meaningful
      *  for the package it was searched on. */
-    std::vector<ScheduleCache::ComputeFn> computes;
+    std::vector<ComputeFn> computes;
     ScheduleCacheStats cacheBefore; ///< cache counters at run start
     std::size_t next = 0;           ///< next arrival to admit
     double nowSec = 0.0;
@@ -787,13 +756,8 @@ FleetSimulator::run(const std::vector<Request>& trace)
 void
 FleetSimulator::beginRun(RunState& st)
 {
-    // Per-run accounting reset; caches persist across runs.
-    for (const auto& cache : caches_) {
-        const ScheduleCacheStats s = cache->stats();
-        st.cacheBefore.hits += s.hits;
-        st.cacheBefore.misses += s.misses;
-        st.cacheBefore.evictions += s.evictions;
-    }
+    // Per-run accounting reset; the cache persists across runs.
+    st.cacheBefore = cache_.stats();
     for (Shard& shard : shards_) {
         SCAR_REQUIRE(!shard.executor.busy() && !shard.hasPending &&
                          !shard.hasSuspended,
@@ -922,7 +886,7 @@ FleetSimulator::startDueParked(RunState& st)
         // parked their schedule at lookup time.
         auto schedule = shard.pendingSchedule != nullptr
                             ? std::move(shard.pendingSchedule)
-                            : shard.cache->join(shard.pendingKey);
+                            : cache_.join(shard.pendingKey);
         // A decode round replays the cached *one-step* schedule
         // llmDecodeSteps times; the cache key stays the one-step
         // signature so every round of the same (context bucket,
@@ -1098,7 +1062,7 @@ FleetSimulator::parkDispatch(RunState& st, int target,
     Shard& shard = shards_[target];
     const std::string key =
         cacheKey(sig, static_cast<std::size_t>(target));
-    const AsyncLookup found = shard.cache->lookup(
+    const AsyncLookup found = cache_.lookup(
         key, dispatch.mix, st.computes[target], st.nowSec,
         options_.serving.modeledSolveSec);
     double endSec = found.readySec;
@@ -1169,13 +1133,14 @@ FleetSimulator::speculate(RunState& st)
     const std::string peekedSig = peeked.signature();
     const int target =
         speculationTarget(peekedSig, peeked, st.nowSec, st.urgent);
-    if (target < 0)
-        return;
-    shards_[target].cache->prefetch(
+    // A schedule already resident (or already solving) for the
+    // predicted target makes a speculative solve pure waste: the
+    // dispatch-time lookup will hit, so prefetch launches nothing.
+    const bool launched = cache_.prefetch(
         cacheKey(peekedSig, static_cast<std::size_t>(target)), peeked,
         st.computes[target],
         st.nowSec + options_.serving.modeledSolveSec);
-    if (st.rec) {
+    if (launched && st.rec) {
         st.rec->trace().instantVirtual(
             target + 1, "speculative-solve", "cache", st.nowSec,
             {obs::argText("mix", peekedSig)});
@@ -1653,20 +1618,12 @@ FleetSimulator::fireSamples(RunState& st)
 ServingReport
 FleetSimulator::summarize(RunState& st)
 {
-    // Promote stray speculative solves so stats and cache sizes are
-    // settled (and no background work bleeds past the run).
-    for (const auto& cache : caches_)
-        cache->drainInFlight();
+    // Promote stray speculative solves so stats and the cache size
+    // are settled (and no background work bleeds past the run).
+    cache_.drainInFlight();
 
-    ScheduleCacheStats delta;
-    long cachedMixes = 0;
-    for (const auto& cache : caches_) {
-        const ScheduleCacheStats s = cache->stats();
-        delta.hits += s.hits;
-        delta.misses += s.misses;
-        delta.evictions += s.evictions;
-        cachedMixes += static_cast<long>(cache->size());
-    }
+    ScheduleCacheStats delta = cache_.stats();
+    const long cachedMixes = static_cast<long>(cache_.size());
     delta.hits -= st.cacheBefore.hits;
     delta.misses -= st.cacheBefore.misses;
     delta.evictions -= st.cacheBefore.evictions;

@@ -9,9 +9,10 @@
  * Event loop (one virtual clock across the fleet):
  *  - arrivals enqueue into the shared admission controller;
  *  - when a batch is ready and a shard is free, the dispatch forms
- *    and consults that shard's AsyncScheduleCache: a ready schedule
- *    starts replaying immediately (plus a modeled weight re-staging
- *    overhead when the shard switches mixes); an unsolved mix starts
+ *    and consults the fleet's AsyncScheduleCache under that shard's
+ *    (mix, package) key: a ready schedule starts replaying
+ *    immediately (plus a modeled weight re-staging overhead when the
+ *    shard switches mixes); an unsolved mix starts
  *    a background solve and the shard waits until the solve's
  *    *virtual* ready instant — that wait is the reported solve-stall
  *    time;
@@ -20,7 +21,8 @@
  *    shard the dispatch is predicted to land on, so the search
  *    overlaps the in-flight replays instead of stalling them (the
  *    PR 1 executor blocked the whole loop here). No solve is
- *    launched when the predicted target already holds the schedule;
+ *    launched when the cache already holds (or is already solving)
+ *    the predicted target's schedule;
  *  - boundary preemption (opt-in, PreemptionOptions): when a queued
  *    request's slack shrinks to the threshold while every shard is
  *    occupied, the first in-flight replay to cross a window boundary
@@ -38,10 +40,9 @@
  * its own McmConfig-style package (e.g. an NVDLA-heavy package for
  * GEMM-bound datacenter mixes next to a Shi-diannao-heavy package for
  * early-CNN AR/VR mixes). A schedule is only valid for the package it
- * was searched on, so every cache entry is keyed by
- * (mix signature, Mcm::signature()): different templates never share
- * a schedule, while identical shards behind a shared cache still
- * deduplicate fleet-wide.
+ * was searched on, so the fleet's one schedule cache keys every entry
+ * by (mix signature, Mcm::signature()): different templates never
+ * share a schedule, while identical shards deduplicate fleet-wide.
  *
  * Routing policies pick the shard for a formed dispatch among the
  * currently idle shards: round-robin (fair rotation), least-loaded
@@ -90,11 +91,10 @@
  *
  * Routing: one flat scan over the shards serves every policy. BestFit
  * prices each shard in O(1) off a per-package quote: shards sharing a
- * (template signature, schedule cache) package share the mix's cache
- * key, the cache's view of it and the makespan, so one routing
- * decision builds the (mix, package) key string — hundreds of bytes
- * for a multi-model mix — and probes the cache once per package, not
- * once per shard.
+ * template signature share the mix's cache key, the cache's view of
+ * it and the makespan, so one routing decision builds the
+ * (mix, package) key string — hundreds of bytes for a multi-model mix
+ * — and probes the cache once per package, not once per shard.
  */
 
 #ifndef SCAR_RUNTIME_FLEET_H
@@ -197,7 +197,7 @@ struct ServingOptions
      * starts replaying a different mix than its previous dispatch.
      */
     double switchOverheadSec = 0.0;
-    /** LRU capacity per schedule cache (0 = unbounded). */
+    /** LRU capacity of the schedule cache (0 = unbounded). */
     std::size_t cacheCapacity = 0;
     /** Request-level boundary preemption (off by default). */
     PreemptionOptions preemption;
@@ -230,8 +230,8 @@ struct FleetOptions
      * Start a background solve for the would-be mix whenever a batch
      * is ready but every shard is busy, hiding the modeled solve
      * latency behind in-flight replays. The solve targets the shard
-     * the dispatch is predicted to land on and is skipped when that
-     * shard's cache already holds (or is already solving) the
+     * the dispatch is predicted to land on and is skipped when the
+     * cache already holds (or is already solving) that shard's
      * schedule. Disabling reproduces the PR 1 blocking pipeline: a
      * new mix's search begins only at dispatch time and the shard
      * idles through all of it.
@@ -259,15 +259,6 @@ struct FleetOptions
      * candidate instead.
      */
     bool bestFitDefer = true;
-    /**
-     * One schedule cache shared by every shard (each (mix, package)
-     * pair solved once fleet-wide) versus a private cache per shard
-     * (pairs re-solved per shard, but no cross-shard coupling — pair
-     * with MixAffinity routing to keep each mix on one shard).
-     * Entries are keyed by (mix signature, package signature) either
-     * way, so heterogeneous templates never alias.
-     */
-    bool sharedCache = true;
     /**
      * Flight recorder for this fleet (not owned; nullptr disables all
      * observability). When set, run() records the full per-request
@@ -300,7 +291,7 @@ class FleetSimulator
     /**
      * Serves one request trace to completion and returns the
      * aggregate report (per-shard utilization, solve-stall and
-     * switch-overhead totals included). Schedule caches persist
+     * switch-overhead totals included). The schedule cache persists
      * across run() calls; the report's cache counters cover this run
      * only.
      */
@@ -309,9 +300,8 @@ class FleetSimulator
     /** Per-request completion records of the most recent run. */
     const std::vector<Request>& records() const { return records_; }
 
-    /** The schedule cache of a shard (all shards share cache 0 when
-     *  sharedCache is set). */
-    const AsyncScheduleCache& cache(int shard = 0) const;
+    /** The fleet's schedule cache, shared by every shard. */
+    const AsyncScheduleCache& cache() const { return cache_; }
 
     int shardCount() const
     {
@@ -338,7 +328,6 @@ class FleetSimulator
     struct Shard
     {
         ReplayExecutor executor;
-        AsyncScheduleCache* cache = nullptr;
         // Formed dispatch waiting for its schedule's virtual ready
         // instant (the executor is idle while one is parked here).
         bool hasPending = false;
@@ -392,16 +381,15 @@ class FleetSimulator
                                  const Scenario& mix);
 
     /**
-     * One mix priced on one package. Shards sharing a (template
-     * signature, schedule cache) package share the mix's cache key,
-     * the cache's view of it, and its makespan, so one routing
-     * decision derives them once per package instead of once per
-     * shard.
+     * One mix priced on one package. Shards sharing a template
+     * signature share the mix's cache key, the cache's view of it,
+     * and its makespan, so one routing decision derives them once per
+     * package instead of once per shard.
      */
     struct PackageQuote
     {
         std::string key;          ///< (mix, package) cache key
-        CachePeek peek;           ///< the package cache's view of key
+        CachePeek peek;           ///< the cache's view of key
         double makespanSec = 0.0; ///< cached makespan, else estimate
     };
 
@@ -453,17 +441,15 @@ class FleetSimulator
     bool routeCandidate(std::size_t s, bool urgent) const;
 
     /**
-     * The shard a speculative solve for this mix should warm: the
-     * affinity shard (MixAffinity), the cost-cheapest shard counting
-     * availability waits (BestFit), or the busy shard that frees up
-     * first — the likeliest dispatch target — otherwise. For an
-     * urgent mix the cost model sees boundary-preemption waits, so
-     * the predicted target is the replay the preemptor will actually
-     * suspend. Returns -1 when the predicted target's cache already
-     * holds or is already solving the (mix, package) schedule, so no
-     * background solve is wasted re-deriving a resident schedule
-     * (previously only the shared-cache configuration was protected
-     * against this).
+     * The shard whose (mix, package) schedule a speculative solve
+     * for this mix should warm: the affinity shard (MixAffinity), the
+     * cost-cheapest shard counting availability waits (BestFit), or
+     * the busy shard that frees up first — the likeliest dispatch
+     * target — otherwise. For an urgent mix the cost model sees
+     * boundary-preemption waits, so the predicted target is the
+     * replay the preemptor will actually suspend. The caller's
+     * prefetch launches nothing when the cache already holds or is
+     * already solving the target's (mix, package) schedule.
      */
     int speculationTarget(const std::string& mixSig,
                           const Scenario& mix, double nowSec,
@@ -574,7 +560,7 @@ class FleetSimulator
     FleetOptions options_;
     std::vector<Mcm> templates_; ///< one per shard
     ThreadPool* pool_;
-    std::vector<std::unique_ptr<AsyncScheduleCache>> caches_;
+    AsyncScheduleCache cache_;
     std::vector<Shard> shards_;
     std::vector<Request> records_;
     std::size_t rrNext_ = 0; ///< round-robin cursor
@@ -588,13 +574,13 @@ class FleetSimulator
     int suspendedCount_ = 0;     ///< shards owing a resume
     int suspendedIdleCount_ = 0; ///< ... of which currently idle
 
-    /** Shard -> package: shards with equal (template signature,
-     *  schedule cache) share an id, so they share a PackageQuote. */
+    /** Shard -> package: shards with equal template signatures
+     *  share an id, so they share a PackageQuote. */
     std::vector<int> packageOf_;
     std::size_t numPackages_ = 0;
 
     /** Memoized WindowEvaluator makespan estimates, keyed like the
-     *  schedule caches by (mix, package) signature. */
+     *  schedule cache by (mix, package) signature. */
     std::map<std::string, double> makespanEstimates_;
     // Per-run routing-quality accounting (reset by run()).
     long contestedRoutes_ = 0;   ///< dispatches with >= 2 candidates

@@ -1,7 +1,6 @@
 #include "runtime/schedule_cache.h"
 
 #include "common/error.h"
-#include "common/logging.h"
 #include "common/units.h"
 
 namespace scar
@@ -39,8 +38,7 @@ buildReplayView(CachedSchedule& entry)
 }
 
 std::shared_ptr<const CachedSchedule>
-makeCachedSchedule(const Scenario& mix,
-                   const ScheduleCache::ComputeFn& compute)
+makeCachedSchedule(const Scenario& mix, const ComputeFn& compute)
 {
     auto entry = std::make_shared<CachedSchedule>();
     entry->mix = mix;
@@ -77,83 +75,6 @@ repeatSchedule(const std::shared_ptr<const CachedSchedule>& step,
     entry->lastWindow.assign(
         step->lastWindow.size(),
         static_cast<int>(perStep) * times - 1);
-    return entry;
-}
-
-ScheduleCache::ScheduleCache(ScheduleCacheOptions options)
-    : options_(options)
-{
-}
-
-void
-ScheduleCache::touch(Entry& entry)
-{
-    lru_.splice(lru_.begin(), lru_, entry.lruIt);
-}
-
-std::shared_ptr<const CachedSchedule>
-ScheduleCache::find(const std::string& signature)
-{
-    auto it = entries_.find(signature);
-    if (it == entries_.end())
-        return nullptr;
-    touch(it->second);
-    return it->second.schedule;
-}
-
-void
-ScheduleCache::insert(const std::string& signature,
-                      std::shared_ptr<const CachedSchedule> schedule)
-{
-    SCAR_REQUIRE(schedule != nullptr,
-                 "schedule cache: inserting null schedule for ",
-                 signature);
-    auto it = entries_.find(signature);
-    if (it != entries_.end()) {
-        it->second.schedule = std::move(schedule);
-        touch(it->second);
-        return;
-    }
-    lru_.push_front(signature);
-    entries_.emplace(signature,
-                     Entry{std::move(schedule), lru_.begin()});
-    if (options_.capacity > 0 && entries_.size() > options_.capacity) {
-        const std::string& victim = lru_.back();
-        debug("schedule cache: evicting LRU mix ", victim);
-        entries_.erase(victim);
-        lru_.pop_back();
-        ++stats_.evictions;
-    }
-}
-
-std::shared_ptr<const CachedSchedule>
-ScheduleCache::peek(const std::string& signature) const
-{
-    auto it = entries_.find(signature);
-    return it == entries_.end() ? nullptr : it->second.schedule;
-}
-
-std::shared_ptr<const CachedSchedule>
-ScheduleCache::getOrCompute(const Scenario& mix,
-                            const ComputeFn& compute)
-{
-    return getOrCompute(mix.signature(), mix, compute);
-}
-
-std::shared_ptr<const CachedSchedule>
-ScheduleCache::getOrCompute(const std::string& key,
-                            const Scenario& mix,
-                            const ComputeFn& compute)
-{
-    if (auto hit = find(key)) {
-        ++stats_.hits;
-        return hit;
-    }
-    ++stats_.misses;
-    debug("schedule cache miss #", stats_.misses, ": scheduling mix ",
-          key);
-    auto entry = makeCachedSchedule(mix, compute);
-    insert(key, entry);
     return entry;
 }
 

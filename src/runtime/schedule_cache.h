@@ -1,40 +1,32 @@
 /**
  * @file
- * Schedule cache: memoizes the expensive two-level SCAR search per
- * unique model mix.
+ * Schedule-cache entries: a memoized SCAR search result plus the
+ * replay view the discrete-event executor needs.
  *
  * The offline search (Scar::run) depends only on the scheduled mix —
- * which models at which batch sizes — and on the fixed MCM, never on
- * request identities or arrival times. The serving runtime therefore
- * keys cached ScheduleResults by Scenario::signature(): the first
- * dispatch of a mix pays the search (a miss), every later dispatch of
- * the same mix replays the cached schedule (a hit). Hit/miss counts
- * are exposed so serving reports can show how much search the cache
- * avoided.
+ * which models at which batch sizes — and on the package it was
+ * searched on, never on request identities or arrival times. The
+ * serving runtime therefore keeps one fleet-wide store keyed by
+ * (Scenario::signature(), Mcm::signature()): AsyncScheduleCache
+ * (runtime/async_schedule_cache.h). This header holds what that store
+ * hands out.
  *
- * Entries are handed out as shared_ptr<const CachedSchedule>: the
- * cache may be bounded by an LRU capacity, and eviction must not
- * invalidate a schedule an executor is still replaying — the replay
- * keeps its own reference alive.
+ * Entries are shared as shared_ptr<const CachedSchedule>: the store
+ * may be bounded by an LRU capacity, and eviction must not invalidate
+ * a schedule an executor is still replaying — the replay keeps its
+ * own reference alive.
  *
- * Each entry also precomputes the replay view the discrete-event
- * executor needs: per-window durations in seconds and, per model, the
- * index of the last window holding its layers (a model's requests
- * complete when that window's end boundary is crossed).
- *
- * This class is single-threaded; the serving runtime wraps it in
- * AsyncScheduleCache (runtime/async_schedule_cache.h) for concurrent
- * background solves.
+ * Each entry precomputes its replay view: per-window durations in
+ * seconds and, per model, the index of the last window holding its
+ * layers (a model's requests complete when that window's end boundary
+ * is crossed).
  */
 
 #ifndef SCAR_RUNTIME_SCHEDULE_CACHE_H
 #define SCAR_RUNTIME_SCHEDULE_CACHE_H
 
 #include <functional>
-#include <list>
-#include <map>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "sched/scar.h"
@@ -77,95 +69,15 @@ struct ScheduleCacheStats
     }
 };
 
-/** Cache sizing knobs. */
-struct ScheduleCacheOptions
-{
-    /**
-     * Maximum cached schedules; the least-recently-used entry is
-     * evicted beyond this. 0 keeps every schedule (the PR 1
-     * behavior). Evicted entries stay alive for any executor still
-     * holding their shared_ptr.
-     */
-    std::size_t capacity = 0;
-};
-
-/** Signature-keyed LRU store of scheduling results. */
-class ScheduleCache
-{
-  public:
-    /** Runs the schedule search for a mix on a cache miss. */
-    using ComputeFn = std::function<ScheduleResult(const Scenario&)>;
-
-    explicit ScheduleCache(
-        ScheduleCacheOptions options = ScheduleCacheOptions{});
-
-    /**
-     * Returns the cached schedule for the mix, invoking compute only
-     * when the mix signature is absent. The returned shared_ptr stays
-     * valid after eviction.
-     */
-    std::shared_ptr<const CachedSchedule>
-    getOrCompute(const Scenario& mix, const ComputeFn& compute);
-
-    /**
-     * Explicit-key variant: the fleet runtime keys entries by
-     * (mix signature, package signature) so shards with different MCM
-     * templates never share a schedule, while identical shards still
-     * deduplicate through one shared cache.
-     */
-    std::shared_ptr<const CachedSchedule>
-    getOrCompute(const std::string& key, const Scenario& mix,
-                 const ComputeFn& compute);
-
-    /**
-     * The cached schedule for a signature, or nullptr. Touches the
-     * LRU order but not the hit/miss counters (the async layer keeps
-     * its own).
-     */
-    std::shared_ptr<const CachedSchedule>
-    find(const std::string& signature);
-
-    /**
-     * Non-mutating probe: the cached schedule without touching the
-     * LRU order or any counter. Routing cost estimation peeks at
-     * candidate shards' caches and must not perturb eviction order.
-     */
-    std::shared_ptr<const CachedSchedule>
-    peek(const std::string& signature) const;
-
-    /** Inserts a computed schedule, evicting LRU beyond capacity. */
-    void insert(const std::string& signature,
-                std::shared_ptr<const CachedSchedule> schedule);
-
-    const ScheduleCacheStats& stats() const { return stats_; }
-
-    /** Number of distinct mixes currently cached. */
-    std::size_t size() const { return entries_.size(); }
-
-    std::size_t capacity() const { return options_.capacity; }
-
-  private:
-    struct Entry
-    {
-        std::shared_ptr<const CachedSchedule> schedule;
-        std::list<std::string>::iterator lruIt;
-    };
-
-    void touch(Entry& entry);
-
-    ScheduleCacheOptions options_;
-    std::map<std::string, Entry> entries_;
-    std::list<std::string> lru_; ///< most recently used at the front
-    ScheduleCacheStats stats_;
-};
+/** Runs the schedule search for a mix on a cache miss. */
+using ComputeFn = std::function<ScheduleResult(const Scenario&)>;
 
 /**
  * Computes, validates, and replay-views a schedule for a mix: the
- * shared miss path of the sync and async caches.
+ * schedule cache's miss path.
  */
 std::shared_ptr<const CachedSchedule>
-makeCachedSchedule(const Scenario& mix,
-                   const ScheduleCache::ComputeFn& compute);
+makeCachedSchedule(const Scenario& mix, const ComputeFn& compute);
 
 /** Builds the replay view of a schedule (exposed for testing). */
 void buildReplayView(CachedSchedule& entry);

@@ -419,12 +419,12 @@ WindowScheduler::Result
 WindowScheduler::placeSegmentations(
     const std::vector<int>& presentModels,
     const std::vector<Segmentation>& segs,
-    const std::vector<int>& entry, SoloCache* sharedCache,
+    const std::vector<int>& entry, SoloCache* sharedSolo,
     PathCache* sharedPaths) const
 {
     Result result;
     SoloCache localCache;
-    SoloCache& cache = sharedCache != nullptr ? *sharedCache : localCache;
+    SoloCache& cache = sharedSolo != nullptr ? *sharedSolo : localCache;
     PathCache localPaths;
     localPaths.setCounters(opts_.counters);
     PathCache& paths = sharedPaths != nullptr ? *sharedPaths : localPaths;

@@ -157,7 +157,7 @@ class WindowScheduler
      * evolutionary driver): beam placement + full evaluation.
      * @param segs per-present-model segmentations, aligned with the
      *        present-model order of the window assignment
-     * @param sharedCache optional solo-cost memo reused across calls
+     * @param sharedSolo optional solo-cost memo reused across calls
      *        (the EA shares one per window search); nullptr uses a
      *        private cache
      * @param sharedPaths optional path-enumeration memo reused across
@@ -167,7 +167,7 @@ class WindowScheduler
     Result placeSegmentations(const std::vector<int>& presentModels,
                               const std::vector<Segmentation>& segs,
                               const std::vector<int>& entry = {},
-                              SoloCache* sharedCache = nullptr,
+                              SoloCache* sharedSolo = nullptr,
                               PathCache* sharedPaths = nullptr) const;
 
     /** Window-level score of a cost under the chosen target. */

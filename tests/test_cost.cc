@@ -569,11 +569,11 @@ TEST(CostDb, TableReuseIsCountedAndBitTransparent)
     EXPECT_EQ(warm.tableStats().hits, sc.numModels());
     EXPECT_EQ(warm.tableStats().misses, 0);
 
-    // A private build answers identically — reuse must never change
-    // a single bit of any query.
-    CostDbOptions privateBuild;
-    privateBuild.reuseTables = false;
-    const CostDb fresh(sc, mcm, MaestroLite{}, privateBuild);
+    // A private build (the cache cleared, warm's tables still held)
+    // answers identically — reuse must never change a single bit of
+    // any query.
+    CostDb::clearTableCache();
+    const CostDb fresh(sc, mcm);
     EXPECT_EQ(fresh.tableStats().hits, 0);
     for (int m = 0; m < sc.numModels(); ++m) {
         for (int l = 0; l < sc.models[m].numLayers(); ++l) {

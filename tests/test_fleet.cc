@@ -16,7 +16,6 @@
 #include "arch/mcm_templates.h"
 #include "common/error.h"
 #include "runtime/fleet.h"
-#include "runtime/serving_sim.h"
 #include "workload/model_zoo.h"
 
 namespace scar
@@ -54,7 +53,7 @@ struct SlowCompute
     std::atomic<int> calls{0};
     int delayMs = 0;
 
-    ScheduleCache::ComputeFn
+    ComputeFn
     fn()
     {
         return [this](const Scenario& mix) {
@@ -78,7 +77,57 @@ struct SlowCompute
     }
 };
 
-TEST(AsyncScheduleCache, ConcurrentGetOrComputeSolvesExactlyOnce)
+/** The dispatch path, blocking: lookup() the mix (launching its
+ *  solve on a miss), then join() it. Keys by the mix signature. */
+std::shared_ptr<const CachedSchedule>
+fetch(AsyncScheduleCache& cache, const Scenario& mix,
+      const ComputeFn& compute)
+{
+    const std::string key = mix.signature();
+    cache.lookup(key, mix, compute, /*nowSec=*/0.0,
+                 /*modeledSolveSec=*/0.0);
+    return cache.join(key);
+}
+
+TEST(ScheduleCache, MissThenHitOnRepeatedMix)
+{
+    ThreadPool pool(1);
+    AsyncScheduleCache cache(pool);
+    SlowCompute compute;
+    const Scenario mix = mixOf({zoo::eyeCod(4), zoo::handSP(2)});
+
+    const auto first = fetch(cache, mix, compute.fn());
+    EXPECT_EQ(compute.calls.load(), 1);
+    EXPECT_EQ(cache.stats().misses, 1);
+    EXPECT_EQ(cache.stats().hits, 0);
+
+    const auto second = fetch(cache, mix, compute.fn());
+    EXPECT_EQ(compute.calls.load(), 1)
+        << "repeated mix must not recompute";
+    EXPECT_EQ(cache.stats().hits, 1);
+    EXPECT_EQ(first.get(), second.get());
+    EXPECT_DOUBLE_EQ(cache.stats().hitRate(), 0.5);
+}
+
+TEST(ScheduleCache, ChangedMixMisses)
+{
+    ThreadPool pool(1);
+    AsyncScheduleCache cache(pool);
+    SlowCompute compute;
+    fetch(cache, mixOf({zoo::eyeCod(4), zoo::handSP(2)}), compute.fn());
+    // Different batch -> different signature.
+    fetch(cache, mixOf({zoo::eyeCod(2), zoo::handSP(2)}), compute.fn());
+    // Different subset -> different signature.
+    fetch(cache, mixOf({zoo::handSP(2)}), compute.fn());
+    EXPECT_EQ(compute.calls.load(), 3);
+    EXPECT_EQ(cache.size(), 3u);
+    // Model order does not matter.
+    fetch(cache, mixOf({zoo::handSP(2), zoo::eyeCod(4)}), compute.fn());
+    EXPECT_EQ(compute.calls.load(), 3);
+    EXPECT_EQ(cache.stats().hits, 1);
+}
+
+TEST(AsyncScheduleCache, ConcurrentLookupJoinSolvesExactlyOnce)
 {
     ThreadPool pool(4);
     AsyncScheduleCache cache(pool);
@@ -91,7 +140,7 @@ TEST(AsyncScheduleCache, ConcurrentGetOrComputeSolvesExactlyOnce)
     std::vector<std::thread> threads;
     for (int t = 0; t < kThreads; ++t) {
         threads.emplace_back([&, t] {
-            got[t] = cache.getOrCompute(mix, compute.fn());
+            got[t] = fetch(cache, mix, compute.fn());
         });
     }
     for (std::thread& thread : threads)
@@ -113,29 +162,30 @@ TEST(AsyncScheduleCache, PrefetchLookupJoinLifecycle)
     SlowCompute compute;
     const Scenario mix = mixOf({zoo::eyeCod(4)});
 
+    const std::string key = mix.signature();
     // Speculative solve usable from virtual t = 5.
-    cache.prefetch(mix, compute.fn(), /*readySec=*/5.0);
+    EXPECT_TRUE(cache.prefetch(key, mix, compute.fn(), /*readySec=*/5.0));
     EXPECT_EQ(cache.stats().misses, 1);
     EXPECT_EQ(cache.size(), 0u) << "in flight, not yet stored";
 
     // A dispatch at t = 1 reuses the running solve and learns the
     // virtual instant it lands; no second solve starts.
     const AsyncLookup pending =
-        cache.lookup(mix, compute.fn(), /*nowSec=*/1.0,
+        cache.lookup(key, mix, compute.fn(), /*nowSec=*/1.0,
                      /*modeledSolveSec=*/0.5);
     EXPECT_EQ(pending.schedule, nullptr);
     EXPECT_DOUBLE_EQ(pending.readySec, 5.0);
     EXPECT_FALSE(pending.startedSolve);
     EXPECT_EQ(cache.stats().hits, 1);
 
-    const auto joined = cache.join(mix.signature());
+    const auto joined = cache.join(key);
     ASSERT_NE(joined, nullptr);
     EXPECT_EQ(cache.size(), 1u);
     EXPECT_EQ(compute.calls.load(), 1);
 
     // Once stored, lookups are usable immediately.
     const AsyncLookup ready =
-        cache.lookup(mix, compute.fn(), 6.0, 0.5);
+        cache.lookup(key, mix, compute.fn(), 6.0, 0.5);
     EXPECT_EQ(ready.schedule.get(), joined.get());
     EXPECT_DOUBLE_EQ(ready.readySec, 6.0);
     EXPECT_EQ(compute.calls.load(), 1);
@@ -148,7 +198,7 @@ TEST(AsyncScheduleCache, LookupMissLaunchesWithModeledLatency)
     SlowCompute compute;
     const Scenario mix = mixOf({zoo::handSP(2)});
     const AsyncLookup miss =
-        cache.lookup(mix, compute.fn(), /*nowSec=*/2.0,
+        cache.lookup(mix.signature(), mix, compute.fn(), /*nowSec=*/2.0,
                      /*modeledSolveSec=*/0.25);
     EXPECT_EQ(miss.schedule, nullptr);
     EXPECT_DOUBLE_EQ(miss.readySec, 2.25);
@@ -166,56 +216,103 @@ TEST(AsyncScheduleCache, FailedSolveIsErasedAndRetriable)
     const Scenario mix = mixOf({zoo::eyeCod(4)});
     SlowCompute good;
     std::atomic<int> calls{0};
-    const ScheduleCache::ComputeFn flaky =
+    const std::string key = mix.signature();
+    const ComputeFn flaky =
         [&](const Scenario& m) -> ScheduleResult {
         if (++calls == 1)
             throw std::runtime_error("transient solver failure");
         return good.fn()(m);
     };
 
-    cache.prefetch(mix, flaky, /*readySec=*/1.0);
-    EXPECT_THROW(cache.join(mix.signature()), std::runtime_error);
+    cache.prefetch(key, mix, flaky, /*readySec=*/1.0);
+    EXPECT_THROW(cache.join(key), std::runtime_error);
     EXPECT_EQ(cache.size(), 0u);
 
     // The poisoned entry must be gone: a fresh lookup relaunches the
     // solve instead of rejoining the dead future.
-    const AsyncLookup retry = cache.lookup(mix, flaky, 2.0, 0.1);
+    const AsyncLookup retry = cache.lookup(key, mix, flaky, 2.0, 0.1);
     EXPECT_TRUE(retry.startedSolve);
-    EXPECT_NE(cache.join(mix.signature()), nullptr);
+    EXPECT_NE(cache.join(key), nullptr);
     EXPECT_EQ(calls.load(), 2);
     EXPECT_EQ(cache.size(), 1u);
 }
 
+/** Stored (not merely in flight) under its mix signature. */
+bool
+stored(const AsyncScheduleCache& cache, const Scenario& mix)
+{
+    return cache.peek(mix.signature()).schedule != nullptr;
+}
+
 TEST(ScheduleCache, LruEvictsBeyondCapacity)
 {
-    ScheduleCacheOptions options;
-    options.capacity = 2;
-    ScheduleCache cache(options);
+    ThreadPool pool(1);
+    AsyncScheduleCache cache(pool, /*capacity=*/2);
     SlowCompute compute;
     const Scenario a = mixOf({zoo::eyeCod(1)});
     const Scenario b = mixOf({zoo::eyeCod(2)});
     const Scenario c = mixOf({zoo::eyeCod(4)});
 
-    const auto keepA = cache.getOrCompute(a, compute.fn());
-    const auto keepB = cache.getOrCompute(b, compute.fn());
+    const auto keepA = fetch(cache, a, compute.fn());
+    const auto keepB = fetch(cache, b, compute.fn());
     EXPECT_EQ(cache.size(), 2u);
-    cache.getOrCompute(a, compute.fn()); // touch A: B becomes LRU
+    fetch(cache, a, compute.fn()); // touch A: B becomes LRU
     EXPECT_EQ(compute.calls.load(), 2);
 
-    cache.getOrCompute(c, compute.fn()); // evicts B
+    fetch(cache, c, compute.fn()); // evicts B
     EXPECT_EQ(cache.size(), 2u);
     EXPECT_EQ(cache.stats().evictions, 1);
-    EXPECT_EQ(cache.find(b.signature()), nullptr);
+    EXPECT_FALSE(stored(cache, b));
     // The evicted entry stays valid for holders of its shared_ptr.
     EXPECT_EQ(keepB->mix.signature(), b.signature());
     EXPECT_FALSE(keepB->windowSec.empty());
 
-    cache.getOrCompute(b, compute.fn()); // re-solve B, evicts A
+    fetch(cache, b, compute.fn()); // re-solve B, evicts A
     EXPECT_EQ(compute.calls.load(), 4);
     EXPECT_EQ(cache.stats().evictions, 2);
-    EXPECT_EQ(cache.find(a.signature()), nullptr);
-    EXPECT_NE(cache.find(c.signature()), nullptr);
+    EXPECT_FALSE(stored(cache, a));
+    EXPECT_TRUE(stored(cache, c));
     EXPECT_EQ(keepA->mix.signature(), a.signature());
+}
+
+/**
+ * Only the dispatch path may reorder a bounded cache: routing peeks
+ * at every package and speculation prefetches resident keys, and
+ * neither may refresh a key the eviction order is about to drop.
+ */
+TEST(ScheduleCache, PeekAndNoOpPrefetchLeaveLruOrderAlone)
+{
+    ThreadPool pool(1);
+    AsyncScheduleCache cache(pool, /*capacity=*/2);
+    SlowCompute compute;
+    const Scenario a = mixOf({zoo::eyeCod(1)});
+    const Scenario b = mixOf({zoo::eyeCod(2)});
+    const Scenario c = mixOf({zoo::eyeCod(4)});
+    const Scenario d = mixOf({zoo::eyeCod(8)});
+    const Scenario e = mixOf({zoo::handSP(2)});
+
+    fetch(cache, a, compute.fn());
+    fetch(cache, b, compute.fn()); // A is LRU
+    EXPECT_TRUE(cache.peek(a.signature()).known());
+    EXPECT_FALSE(cache.prefetch(a.signature(), a, compute.fn(), 0.0))
+        << "a stored key launches no solve";
+    EXPECT_EQ(compute.calls.load(), 2);
+    fetch(cache, c, compute.fn());
+    EXPECT_FALSE(stored(cache, a)) << "peek/prefetch refreshed A";
+    EXPECT_TRUE(stored(cache, b));
+
+    // lookup() touches: B becomes most recent, so D evicts C.
+    cache.lookup(b.signature(), b, compute.fn(), 0.0, 0.0);
+    fetch(cache, d, compute.fn());
+    EXPECT_TRUE(stored(cache, b));
+    EXPECT_FALSE(stored(cache, c));
+
+    // join() of a stored key touches too: E evicts D, not B.
+    cache.join(b.signature());
+    fetch(cache, e, compute.fn());
+    EXPECT_TRUE(stored(cache, b));
+    EXPECT_FALSE(stored(cache, d));
+    EXPECT_EQ(compute.calls.load(), 5);
 }
 
 TEST(Fleet, MultiShardCompletesEverythingDeterministically)
@@ -335,20 +432,15 @@ TEST(Fleet, RoutingPoliciesAllServeTheStream)
     for (const RoutingPolicy policy :
          {RoutingPolicy::RoundRobin, RoutingPolicy::LeastLoaded,
           RoutingPolicy::MixAffinity, RoutingPolicy::BestFit}) {
-        for (const bool shared : {true, false}) {
-            FleetOptions options;
-            options.shards = 2;
-            options.routing = policy;
-            options.sharedCache = shared;
-            FleetSimulator fleet(
-                catalog, templates::hetSides3x3(templates::kArvrPes),
-                options);
-            const ServingReport report = fleet.run(trace);
-            EXPECT_EQ(report.completed, 200)
-                << routingPolicyName(policy)
-                << (shared ? " shared" : " per-shard");
-            EXPECT_GT(report.cache.hits, 0);
-        }
+        FleetOptions options;
+        options.shards = 2;
+        options.routing = policy;
+        FleetSimulator fleet(
+            catalog, templates::hetSides3x3(templates::kArvrPes),
+            options);
+        const ServingReport report = fleet.run(trace);
+        EXPECT_EQ(report.completed, 200) << routingPolicyName(policy);
+        EXPECT_GT(report.cache.hits, 0);
     }
 }
 
@@ -438,7 +530,7 @@ TEST(Fleet, BoundedCacheStillServesEverything)
     EXPECT_EQ(report.completed, 300);
     EXPECT_GT(report.cache.evictions, 0)
         << "capacity 1 must evict under multiple mixes";
-    EXPECT_LE(fleet.cache(0).size(), 1u);
+    EXPECT_LE(fleet.cache().size(), 1u);
 }
 
 /**
@@ -501,17 +593,17 @@ TEST(Admission, EdfLowersTailViolationsUnderOverload)
     catalog[0].rateRps = 1.0;
 
     const Mcm mcm = templates::hetSides3x3(templates::kArvrPes);
-    ServingOptions probeOptions;
-    probeOptions.admission.maxQueueDelaySec = 0.01;
+    FleetOptions probeOptions;
+    probeOptions.serving.admission.maxQueueDelaySec = 0.01;
 
     // Probe the two makespans: a lone (batch-1) dispatch and a full
     // batch-4 dispatch.
-    ServingSimulator probe(catalog, mcm, probeOptions);
+    FleetSimulator probe(catalog, mcm, probeOptions);
     probe.run(traceFromArrivals(catalog, {{0.0, 0}}));
     ASSERT_EQ(probe.records().size(), 1u);
     const double soloMakespan = probe.records()[0].completionSec -
                                 probe.records()[0].dispatchSec;
-    ServingSimulator probe4(catalog, mcm, probeOptions);
+    FleetSimulator probe4(catalog, mcm, probeOptions);
     probe4.run(traceFromArrivals(
         catalog, {{0.0, 0}, {0.0001, 0}, {0.0002, 0}, {0.0003, 0}}));
     ASSERT_EQ(probe4.records().size(), 4u);
@@ -540,9 +632,9 @@ TEST(Admission, EdfLowersTailViolationsUnderOverload)
     };
 
     auto violationsWith = [&](QueueOrder order) {
-        ServingOptions options = probeOptions;
-        options.admission.order = order;
-        ServingSimulator sim(catalog, mcm, options);
+        FleetOptions options = probeOptions;
+        options.serving.admission.order = order;
+        FleetSimulator sim(catalog, mcm, options);
         const ServingReport report = sim.run(makeTrace());
         EXPECT_EQ(report.completed, 13);
         return report;

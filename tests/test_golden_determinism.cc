@@ -35,7 +35,7 @@
 
 #include "arch/mcm_templates.h"
 #include "eval/scenario_suite.h"
-#include "runtime/serving_sim.h"
+#include "runtime/fleet.h"
 #include "sched/scar.h"
 
 namespace scar
@@ -43,11 +43,11 @@ namespace scar
 namespace
 {
 
+using runtime::FleetOptions;
+using runtime::FleetSimulator;
 using runtime::Request;
 using runtime::ServedModel;
-using runtime::ServingOptions;
 using runtime::ServingReport;
-using runtime::ServingSimulator;
 using runtime::ShardReport;
 
 /** Exact (bit-preserving) rendering of a double. */
@@ -289,12 +289,12 @@ runServing(int threads)
         sm.sloSec = slosSec[m];
         catalog.push_back(std::move(sm));
     }
-    ServingOptions options;
-    options.admission.maxQueueDelaySec = 0.1;
-    options.scar.threads = threads;
+    FleetOptions options;
+    options.serving.admission.maxQueueDelaySec = 0.1;
+    options.serving.scar.threads = threads;
     ThreadPool pool(threads);
-    options.pool = &pool;
-    ServingSimulator sim(catalog, templates::hetSides3x3(), options);
+    options.serving.pool = &pool;
+    FleetSimulator sim(catalog, templates::hetSides3x3(), options);
     const std::vector<Request> trace =
         runtime::poissonTrace(catalog, 600, /*seed=*/7);
     return sim.run(trace);

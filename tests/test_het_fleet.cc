@@ -134,7 +134,7 @@ TEST(HetFleet, ShardsCountConflictingWithTemplatesIsRejected)
  * The cache-key regression of the issue: the same mix dispatched on
  * two different package templates must be solved once per template —
  * a schedule searched for one package is meaningless on another —
- * even through one shared cache.
+ * even though every shard shares the fleet's one cache.
  */
 TEST(HetFleet, DifferentTemplatesNeverShareACachedSchedule)
 {
@@ -148,7 +148,6 @@ TEST(HetFleet, DifferentTemplatesNeverShareACachedSchedule)
     FleetOptions options;
     options.shardTemplates = {fastPackage(), slowPackage()};
     options.routing = RoutingPolicy::RoundRobin;
-    options.sharedCache = true;
     FleetSimulator fleet(catalog, fastPackage(), options);
     const ServingReport report = fleet.run(trace);
 
@@ -160,7 +159,7 @@ TEST(HetFleet, DifferentTemplatesNeverShareACachedSchedule)
         << "one solve per (mix, package) pair";
     EXPECT_EQ(report.cache.hits, 0);
     EXPECT_EQ(report.uniqueMixes, 2)
-        << "the shared store holds one entry per package";
+        << "the store holds one entry per package";
 }
 
 /**
@@ -186,8 +185,8 @@ TEST(HetFleet, InterconnectVariantsGetDistinctSignatures)
 
 /**
  * The fleet-level consequence: two shards whose packages differ only
- * in interconnect must each get their own solve through one shared
- * cache — a schedule searched on the mesh is wrong on the torus even
+ * in interconnect must each get their own solve in the fleet's cache
+ * — a schedule searched on the mesh is wrong on the torus even
  * though every chiplet matches.
  */
 TEST(HetFleet, InterconnectOnlyShardsNeverShareACachedSchedule)
@@ -201,7 +200,6 @@ TEST(HetFleet, InterconnectOnlyShardsNeverShareACachedSchedule)
         templates::hetSides3x3(templates::kArvrPes),
         templates::hetSidesTorus3x3(templates::kArvrPes)};
     options.routing = RoutingPolicy::RoundRobin;
-    options.sharedCache = true;
     FleetSimulator fleet(catalog,
                          templates::hetSides3x3(templates::kArvrPes),
                          options);
@@ -215,12 +213,11 @@ TEST(HetFleet, InterconnectOnlyShardsNeverShareACachedSchedule)
         << "mesh and torus shards must solve separately";
     EXPECT_EQ(report.cache.hits, 0);
     EXPECT_EQ(report.uniqueMixes, 2)
-        << "one shared-store entry per interconnect";
+        << "one store entry per interconnect";
 }
 
-/** The homogeneous counterpart: identical shards behind a shared
- *  cache still deduplicate — the second shard replays the first
- *  shard's schedule. */
+/** The homogeneous counterpart: identical shards deduplicate — the
+ *  second shard replays the first shard's schedule. */
 TEST(HetFleet, SharedCacheStillDeduplicatesAcrossIdenticalShards)
 {
     const auto catalog = singleModelCatalog();
@@ -230,7 +227,6 @@ TEST(HetFleet, SharedCacheStillDeduplicatesAcrossIdenticalShards)
     FleetOptions options;
     options.shards = 2; // homogeneous copies of the ctor template
     options.routing = RoutingPolicy::RoundRobin;
-    options.sharedCache = true;
     FleetSimulator fleet(catalog, fastPackage(), options);
     const ServingReport report = fleet.run(trace);
 
@@ -241,25 +237,6 @@ TEST(HetFleet, SharedCacheStillDeduplicatesAcrossIdenticalShards)
         << "identical packages share one schedule";
     EXPECT_EQ(report.cache.hits, 1);
     EXPECT_EQ(report.uniqueMixes, 1);
-}
-
-TEST(HetFleet, PerShardCachesKeepTemplateEntriesApart)
-{
-    const auto catalog = singleModelCatalog();
-    const auto trace =
-        traceFromArrivals(catalog, {{0.0, 0}, {10.0, 0}});
-
-    FleetOptions options;
-    options.shardTemplates = {fastPackage(), slowPackage()};
-    options.routing = RoutingPolicy::RoundRobin;
-    options.sharedCache = false;
-    FleetSimulator fleet(catalog, fastPackage(), options);
-    const ServingReport report = fleet.run(trace);
-
-    EXPECT_EQ(report.completed, 2);
-    EXPECT_EQ(report.cache.misses, 2);
-    EXPECT_EQ(fleet.cache(0).size(), 1u);
-    EXPECT_EQ(fleet.cache(1).size(), 1u);
 }
 
 TEST(HetFleet, MakespanEstimateRanksFastPackageBelowSlow)
@@ -329,15 +306,15 @@ TEST(HetFleet, BestFitRoutesAreCostOptimalByConstruction)
 
 /**
  * BestFit prices each shard off its package's quote — one (cache key,
- * cache peek, makespan) per (template signature, schedule cache)
- * pair. A quote shared across caches or across templates would price
- * a shard off another shard's cache contents. In run 1 two cap-1
- * requests of different models land on shards 0 and 1 (each solving
- * into its own cache entry); in run 2 a lone request of the model
- * shard 1 solved must go to shard 1 — a shard 0 quote would show the
- * full modeled solve on both shards, tie, and send it to shard 0.
+ * cache peek, makespan) per template signature. A quote shared across
+ * templates would price a shard off another package's cache entries.
+ * In run 1 two cap-1 requests of different models land on shards 0
+ * and 1 (each solving into its own (mix, package) entry); in run 2 a
+ * lone request of the model shard 1 solved must go to shard 1 — a
+ * shard 0 quote would show the full modeled solve on both shards,
+ * tie, and send it to shard 0.
  */
-TEST(HetFleet, BestFitQuotesArePerTemplateAndCache)
+TEST(HetFleet, BestFitQuotesArePerTemplate)
 {
     std::vector<ServedModel> catalog(2);
     catalog[0].model = zoo::eyeCod(1);
@@ -348,47 +325,34 @@ TEST(HetFleet, BestFitQuotesArePerTemplateAndCache)
         traceFromArrivals(catalog, {{0.0, 0}, {0.001, 1}});
     const auto second = traceFromArrivals(catalog, {{0.0, 1}});
 
-    struct Case
-    {
-        const char* name;
-        std::vector<Mcm> templates;
-        bool sharedCache;
-    };
-    const Case cases[] = {
-        {"identical packages, per-shard caches",
-         {fastPackage(), fastPackage()}, false},
-        {"different packages, one shared cache",
-         {fastPackage(), slowPackage()}, true}};
-    for (const Case& c : cases) {
-        FleetOptions options;
-        options.shardTemplates = c.templates;
-        options.sharedCache = c.sharedCache;
-        options.routing = RoutingPolicy::BestFit;
-        options.bestFitDefer = false;
-        options.speculativeSolve = false;
-        options.serving.modeledSolveSec = 1.0;
-        FleetSimulator fleet(catalog, fastPackage(), options);
+    FleetOptions options;
+    options.shardTemplates = {fastPackage(), slowPackage()};
+    options.routing = RoutingPolicy::BestFit;
+    options.bestFitDefer = false;
+    options.speculativeSolve = false;
+    options.serving.modeledSolveSec = 1.0;
+    FleetSimulator fleet(catalog, fastPackage(), options);
 
-        const ServingReport warm = fleet.run(first);
-        ASSERT_EQ(warm.shards[0].dispatches, 1) << c.name;
-        ASSERT_EQ(warm.shards[1].dispatches, 1) << c.name;
+    const ServingReport warm = fleet.run(first);
+    ASSERT_EQ(warm.shards[0].dispatches, 1);
+    ASSERT_EQ(warm.shards[1].dispatches, 1);
 
-        const ServingReport report = fleet.run(second);
-        EXPECT_EQ(report.shards[1].dispatches, 1)
-            << c.name << ": the shard holding the schedule must win";
-        EXPECT_EQ(report.solveStallSec, 0.0) << c.name;
-        EXPECT_EQ(report.cache.misses, 0) << c.name;
-    }
+    const ServingReport report = fleet.run(second);
+    EXPECT_EQ(report.shards[1].dispatches, 1)
+        << "the shard holding the schedule must win";
+    EXPECT_EQ(report.solveStallSec, 0.0);
+    EXPECT_EQ(report.cache.misses, 0);
 }
 
 /**
  * The wasted-speculation regression: a (mix, package) schedule that
- * is already resident — or already solving — in the cache of the
- * shard the dispatch is predicted to land on must not trigger another
- * background solve. Three back-to-back cap-1 requests: the first two
- * park one dispatch per shard (one solve each); the third finds every
- * shard occupied, so the speculative path runs — and must recognize
- * the in-flight solve instead of launching a third.
+ * is already resident — or already solving — for the shard the
+ * dispatch is predicted to land on must not trigger another
+ * background solve. Three back-to-back cap-1 requests: the first
+ * launches the mix's one solve and the second parks on it on the
+ * other shard; the third finds every shard occupied, so the
+ * speculative path runs — and must recognize the in-flight solve
+ * instead of launching a second.
  */
 TEST(HetFleet, SpeculationNeverResolvesAResidentSchedule)
 {
@@ -402,7 +366,6 @@ TEST(HetFleet, SpeculationNeverResolvesAResidentSchedule)
         FleetOptions options;
         options.shards = 2;
         options.routing = policy;
-        options.sharedCache = false; // per-shard caches
         options.speculativeSolve = true;
         options.serving.modeledSolveSec = 0.05;
         FleetSimulator fleet(
@@ -410,10 +373,10 @@ TEST(HetFleet, SpeculationNeverResolvesAResidentSchedule)
             options);
         const ServingReport report = fleet.run(trace);
         EXPECT_EQ(report.completed, 3) << routingPolicyName(policy);
-        // Two caches, one solve each for the single mix; request 3
-        // replays from whichever shard frees first. A wasted
-        // speculative solve would show as a third miss.
-        EXPECT_EQ(report.cache.misses, 2) << routingPolicyName(policy);
+        // Identical shards share the single mix's one solve; request
+        // 3 replays from whichever shard frees first. A wasted
+        // speculative solve would show as a second miss.
+        EXPECT_EQ(report.cache.misses, 1) << routingPolicyName(policy);
         EXPECT_GE(report.cache.hits, 1) << routingPolicyName(policy);
     }
 }

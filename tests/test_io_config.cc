@@ -1,15 +1,21 @@
 /**
  * @file
  * Tests for the description-file front end (paper Figure 4 inputs):
- * workload and MCM config parsing, error reporting, and round-trips
- * through the scheduler.
+ * workload and MCM config parsing, error reporting, round-trips
+ * through the scheduler, and a seeded mutation fuzz of both grammars.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <filesystem>
+#include <fstream>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "common/error.h"
+#include "common/rng.h"
 #include "io/config.h"
 #include "sched/scar.h"
 #include "workload/model_zoo.h"
@@ -163,6 +169,37 @@ TEST(IoStrictIntegers, AcceptsWholeIntegerTokens)
     EXPECT_EQ(sc.models[0].layers[1].dims.k, 1024);
 }
 
+/** Model and layer validation errors name the offending line. */
+TEST(IoLineNumbers, ValidationErrorsNameTheirLine)
+{
+    struct Case
+    {
+        const char* text;
+        const char* line;
+        const char* what;
+    };
+    const Case cases[] = {
+        {"scenario s\nmodel gptL batch=0\n", "line 2: ", "batch 0"},
+        {"scenario s\nmodel custom\n\ngemm name=f m=0 n=1 k=1\n",
+         "line 4: ", "layer f: spatial dims must be positive"},
+        {"scenario s\nmodel custom\n"
+         "conv name=c k=8 c=3 y=8 x=8 stride=0\n",
+         "line 3: ", "layer c: strides must be positive"},
+        // An empty custom model is only known at the end of the file;
+        // the error names the model's own line.
+        {"scenario s\nmodel eyeCod\nmodel custom name=A\n"
+         "model handSP\n",
+         "line 3: ", "model A has no layers"},
+    };
+    for (const Case& c : cases) {
+        std::istringstream in(c.text);
+        const std::string msg =
+            fatalMessage([&] { io::parseScenario(in); });
+        EXPECT_NE(msg.find(c.line), std::string::npos) << msg;
+        EXPECT_NE(msg.find(c.what), std::string::npos) << msg;
+    }
+}
+
 TEST(IoMcm, ParsesTemplateReference)
 {
     std::istringstream in("mcm pkg\ntemplate hetSides3x3\npes 256\n");
@@ -247,6 +284,128 @@ TEST(IoFiles, MissingFileRaisesFatal)
 {
     EXPECT_THROW(io::loadScenario("/nonexistent/file.cfg"), FatalError);
     EXPECT_THROW(io::loadMcm("/nonexistent/file.cfg"), FatalError);
+}
+
+// ---- seeded mutation fuzz ------------------------------------------
+
+using Tokens = std::vector<std::vector<std::string>>; ///< per line
+
+Tokens
+tokenize(const std::string& text)
+{
+    Tokens lines;
+    std::istringstream in(text);
+    std::string raw;
+    while (std::getline(in, raw)) {
+        std::istringstream words(raw);
+        lines.emplace_back();
+        for (std::string w; words >> w;)
+            lines.back().push_back(w);
+    }
+    return lines;
+}
+
+/**
+ * One to three token edits — replace a token (or just the value of a
+ * key=value token), delete one, or insert one — drawing new values
+ * from the edge cases the parser must reject or accept cleanly.
+ */
+std::string
+mutate(Tokens lines, Rng& rng)
+{
+    static const std::vector<std::string> kValues = {
+        "0",   "-1", "2147483648", "9223372036854775807", "1e3",
+        "",    "NVD", "Shi",       "RS",                  "/"};
+    const int edits = rng.uniformInt(1, 3);
+    for (int e = 0; e < edits; ++e) {
+        std::vector<std::string>& line = lines[rng.index(lines.size())];
+        const std::string& value = kValues[rng.index(kValues.size())];
+        const int op = rng.uniformInt(0, 2);
+        if (op == 2 || line.empty()) {
+            line.insert(line.begin() + static_cast<std::ptrdiff_t>(
+                                           rng.index(line.size() + 1)),
+                        value);
+            continue;
+        }
+        const std::size_t t = rng.index(line.size());
+        const std::size_t eq = line[t].find('=');
+        if (op == 1)
+            line.erase(line.begin() + static_cast<std::ptrdiff_t>(t));
+        else if (eq != std::string::npos && rng.chance(0.5))
+            line[t] = line[t].substr(0, eq + 1) + value;
+        else
+            line[t] = value;
+    }
+    std::string text;
+    for (const std::vector<std::string>& line : lines) {
+        for (const std::string& token : line)
+            text += token + " ";
+        text += "\n";
+    }
+    return text;
+}
+
+/**
+ * Every mutated config either parses or raises FatalError: no other
+ * exception type (PanicError, std::out_of_range, ...) and no crash
+ * (the ASan+UBSan job runs this too). Seeds are fixed, so a failure
+ * reproduces exactly; its input is printed.
+ */
+TEST(IoFuzz, MutatedConfigsParseOrRaiseFatal)
+{
+    std::vector<Tokens> mcms;
+    std::vector<Tokens> workloads = {tokenize(R"(scenario custom-demo
+model custom name=MyNet batch=2
+gemm name=fc1 m=128 n=1024 k=512
+conv name=c1 k=64 c=3 r=7 s=7 y=224 x=224 stride=2
+dwconv name=d1 k=64 y=112 x=112
+pool name=p1 c=64 y=112 x=112 window=2 stride=2
+eltwise name=e1 c=64 y=56 x=56
+model eyeCod batch=4
+)")};
+    std::vector<std::filesystem::path> files;
+    for (const auto& entry :
+         std::filesystem::directory_iterator(SCAR_CONFIG_DIR))
+        if (entry.path().extension() == ".cfg")
+            files.push_back(entry.path());
+    std::sort(files.begin(), files.end());
+    for (const std::filesystem::path& file : files) {
+        std::ifstream in(file);
+        std::stringstream text;
+        text << in.rdbuf();
+        const bool isMcm = file.filename().string().rfind("mcm", 0) == 0;
+        (isMcm ? mcms : workloads).push_back(tokenize(text.str()));
+    }
+    ASSERT_GE(mcms.size(), 5u);
+    ASSERT_GE(workloads.size(), 2u);
+
+    constexpr int kInputsPerGrammar = 500;
+    int rejected = 0;
+    for (const std::uint64_t seed : {1u, 2u, 3u}) {
+        Rng rng(seed);
+        for (int i = 0; i < 2 * kInputsPerGrammar; ++i) {
+            const bool mcm = i % 2 == 0;
+            const std::vector<Tokens>& bases = mcm ? mcms : workloads;
+            const std::string text =
+                mutate(bases[rng.index(bases.size())], rng);
+            std::istringstream in(text);
+            try {
+                if (mcm)
+                    io::parseMcm(in);
+                else
+                    io::parseScenario(in);
+            } catch (const FatalError&) {
+                ++rejected;
+            } catch (const std::exception& e) {
+                ADD_FAILURE() << "seed " << seed << " input " << i
+                              << " threw a non-fatal error: " << e.what()
+                              << "\n"
+                              << text;
+            }
+        }
+    }
+    // The edits are mostly destructive: most inputs must be rejected.
+    EXPECT_GT(rejected, 3 * kInputsPerGrammar);
 }
 
 } // namespace

@@ -473,7 +473,7 @@ stubSchedule(const Scenario& mix)
     return result;
 }
 
-TEST(StripedCache, SolvesExactlyOncePerKeyUnderConcurrency)
+TEST(AsyncScheduleCache, RacingLookupJoinSolvesExactlyOncePerKey)
 {
     ThreadPool pool(4);
     AsyncScheduleCache cache(pool);
@@ -483,9 +483,9 @@ TEST(StripedCache, SolvesExactlyOncePerKeyUnderConcurrency)
         return stubSchedule(mix);
     };
 
-    // 8 distinct keys, 4 racing getOrCompute callers per key: each
-    // key must solve exactly once and every caller must see the same
-    // entry.
+    // 8 distinct keys, 4 racing lookup()+join() callers per key:
+    // each key must solve exactly once and every caller must see the
+    // same entry.
     constexpr int kKeys = 8;
     constexpr int kCallers = 4;
     std::vector<std::shared_ptr<const CachedSchedule>> seen(
@@ -494,10 +494,12 @@ TEST(StripedCache, SolvesExactlyOncePerKeyUnderConcurrency)
     callers.parallelFor(
         static_cast<std::size_t>(kKeys * kCallers),
         [&](std::size_t i) {
-            const int key = static_cast<int>(i) % kKeys;
-            seen[i] = cache.getOrCompute(
-                mixNamed("mix" + std::to_string(key), key + 1),
-                compute);
+            const int k = static_cast<int>(i) % kKeys;
+            const Scenario mix =
+                mixNamed("mix" + std::to_string(k), k + 1);
+            const std::string key = mix.signature();
+            cache.lookup(key, mix, compute, 0.0, 0.0);
+            seen[i] = cache.join(key);
         });
     EXPECT_EQ(solves.load(), kKeys);
     EXPECT_EQ(cache.size(), static_cast<std::size_t>(kKeys));
@@ -512,7 +514,7 @@ TEST(StripedCache, SolvesExactlyOncePerKeyUnderConcurrency)
     EXPECT_EQ(stats.hits + stats.misses, kKeys * kCallers);
 }
 
-TEST(StripedCache, PrefetchLookupJoinSpanStripes)
+TEST(AsyncScheduleCache, PrefetchIsIdempotentPerKey)
 {
     ThreadPool pool(2);
     AsyncScheduleCache cache(pool);
@@ -522,22 +524,28 @@ TEST(StripedCache, PrefetchLookupJoinSpanStripes)
         return stubSchedule(mix);
     };
 
+    const auto mixOf = [](int k) {
+        return mixNamed("pf" + std::to_string(k), k + 1);
+    };
     for (int k = 0; k < 6; ++k)
-        cache.prefetch(mixNamed("pf" + std::to_string(k), k + 1),
-                       compute, 0.5);
-    // Idempotent per key.
-    for (int k = 0; k < 6; ++k)
-        cache.prefetch(mixNamed("pf" + std::to_string(k), k + 1),
-                       compute, 0.5);
+        EXPECT_TRUE(cache.prefetch(mixOf(k).signature(), mixOf(k),
+                                   compute, 0.5));
+    // Idempotent per key, in flight or stored.
+    for (int k = 0; k < 3; ++k)
+        EXPECT_FALSE(cache.prefetch(mixOf(k).signature(), mixOf(k),
+                                    compute, 0.5));
     cache.drainInFlight();
+    for (int k = 3; k < 6; ++k)
+        EXPECT_FALSE(cache.prefetch(mixOf(k).signature(), mixOf(k),
+                                    compute, 0.5));
     EXPECT_EQ(solves.load(), 6);
     EXPECT_EQ(cache.size(), 6u);
 
     // lookup() joins the stored entries as hits.
     for (int k = 0; k < 6; ++k) {
-        const Scenario mix = mixNamed("pf" + std::to_string(k), k + 1);
+        const Scenario mix = mixOf(k);
         const AsyncLookup found =
-            cache.lookup(mix, compute, 1.0, 0.25);
+            cache.lookup(mix.signature(), mix, compute, 1.0, 0.25);
         EXPECT_NE(found.schedule, nullptr);
         EXPECT_FALSE(found.startedSolve);
         EXPECT_DOUBLE_EQ(found.readySec, 1.0);

@@ -15,7 +15,6 @@
 #include "common/units.h"
 #include "eval/reporter.h"
 #include "runtime/fleet.h"
-#include "runtime/serving_sim.h"
 #include "workload/model_zoo.h"
 
 namespace scar

@@ -1,7 +1,7 @@
 /**
  * @file
  * Tests for the online serving runtime: deterministic arrival streams,
- * schedule-cache hit/miss behavior, admission batching, discrete-event
+ * schedule replay views, admission batching, discrete-event
  * replay, and SLO accounting on hand-checkable traces.
  */
 
@@ -12,7 +12,7 @@
 #include "arch/mcm_templates.h"
 #include "common/error.h"
 #include "eval/reporter.h"
-#include "runtime/serving_sim.h"
+#include "runtime/fleet.h"
 #include "workload/model_zoo.h"
 
 namespace scar
@@ -121,30 +121,6 @@ TEST(Arrival, TraceFromArrivalsSortsAndValidates)
     EXPECT_THROW(traceFromArrivals(catalog, {{0.0, 9}}), FatalError);
 }
 
-/** A counting compute stub: the cache tests need no real search. */
-struct CountingCompute
-{
-    int calls = 0;
-
-    ScheduleResult
-    operator()(const Scenario& mix)
-    {
-        ++calls;
-        ScheduleResult result;
-        ScheduledWindow sw;
-        sw.cost.latencyCycles = 1000.0;
-        for (int m = 0; m < mix.numModels(); ++m) {
-            ModelPlacement mp;
-            mp.modelIdx = m;
-            mp.segments.push_back(
-                {LayerRange{0, mix.models[m].numLayers() - 1}, m});
-            sw.placement.models.push_back(mp);
-        }
-        result.windows.push_back(sw);
-        return result;
-    }
-};
-
 Scenario
 mixOf(std::vector<Model> models)
 {
@@ -152,49 +128,6 @@ mixOf(std::vector<Model> models)
     sc.name = "mix";
     sc.models = std::move(models);
     return sc;
-}
-
-TEST(ScheduleCache, MissThenHitOnRepeatedMix)
-{
-    ScheduleCache cache;
-    CountingCompute counter;
-    const auto compute = [&](const Scenario& mix) {
-        return counter(mix);
-    };
-    const Scenario mix = mixOf({zoo::eyeCod(4), zoo::handSP(2)});
-
-    const std::shared_ptr<const CachedSchedule> first =
-        cache.getOrCompute(mix, compute);
-    EXPECT_EQ(counter.calls, 1);
-    EXPECT_EQ(cache.stats().misses, 1);
-    EXPECT_EQ(cache.stats().hits, 0);
-
-    const std::shared_ptr<const CachedSchedule> second =
-        cache.getOrCompute(mix, compute);
-    EXPECT_EQ(counter.calls, 1) << "repeated mix must not recompute";
-    EXPECT_EQ(cache.stats().hits, 1);
-    EXPECT_EQ(first.get(), second.get());
-    EXPECT_DOUBLE_EQ(cache.stats().hitRate(), 0.5);
-}
-
-TEST(ScheduleCache, ChangedMixMisses)
-{
-    ScheduleCache cache;
-    CountingCompute counter;
-    const auto compute = [&](const Scenario& mix) {
-        return counter(mix);
-    };
-    cache.getOrCompute(mixOf({zoo::eyeCod(4), zoo::handSP(2)}), compute);
-    // Different batch -> different signature.
-    cache.getOrCompute(mixOf({zoo::eyeCod(2), zoo::handSP(2)}), compute);
-    // Different subset -> different signature.
-    cache.getOrCompute(mixOf({zoo::handSP(2)}), compute);
-    EXPECT_EQ(counter.calls, 3);
-    EXPECT_EQ(cache.size(), 3u);
-    // Model order does not matter.
-    cache.getOrCompute(mixOf({zoo::handSP(2), zoo::eyeCod(4)}), compute);
-    EXPECT_EQ(counter.calls, 3);
-    EXPECT_EQ(cache.stats().hits, 1);
 }
 
 TEST(ScheduleCache, ReplayViewTracksLastWindows)
@@ -376,11 +309,11 @@ TEST(ServingSim, SloAccountingOnTwoRequestTrace)
     std::vector<ServedModel> catalog(1);
     catalog[0].model = zoo::eyeCod(2);
     catalog[0].rateRps = 1.0;
-    ServingOptions options;
-    options.admission.maxQueueDelaySec = 0.01;
-    ServingSimulator sim(catalog,
-                         templates::hetSides3x3(templates::kArvrPes),
-                         options);
+    FleetOptions options;
+    options.serving.admission.maxQueueDelaySec = 0.01;
+    FleetSimulator sim(catalog,
+                       templates::hetSides3x3(templates::kArvrPes),
+                       options);
 
     // Probe run: learn the single-request makespan of the mix.
     catalog[0].sloSec = std::numeric_limits<double>::infinity();
@@ -394,9 +327,9 @@ TEST(ServingSim, SloAccountingOnTwoRequestTrace)
     // Request A's SLO absorbs timeout + makespan; request B's cannot.
     const double latency = 0.01 + makespan;
     catalog[0].sloSec = latency * 2.0;
-    ServingSimulator sim2(catalog,
-                          templates::hetSides3x3(templates::kArvrPes),
-                          options);
+    FleetSimulator sim2(catalog,
+                        templates::hetSides3x3(templates::kArvrPes),
+                        options);
     auto trace = traceFromArrivals(catalog, {{0.0, 0}, {10.0, 0}});
     trace[1].deadlineSec = 10.0 + latency * 0.5; // unreachable
     const ServingReport report = sim2.run(trace);
@@ -419,11 +352,11 @@ TEST(ServingSim, SloAccountingOnTwoRequestTrace)
 TEST(ServingSim, DrainsEveryRequestAndCaches)
 {
     const auto catalog = smallCatalog();
-    ServingOptions options;
-    options.admission.maxQueueDelaySec = 0.005;
-    ServingSimulator sim(catalog,
-                         templates::hetSides3x3(templates::kArvrPes),
-                         options);
+    FleetOptions options;
+    options.serving.admission.maxQueueDelaySec = 0.005;
+    FleetSimulator sim(catalog,
+                       templates::hetSides3x3(templates::kArvrPes),
+                       options);
     const auto trace = poissonTrace(catalog, 400, 11);
     const ServingReport report = sim.run(trace);
 
@@ -457,10 +390,10 @@ TEST(ServingSim, DeterministicForFixedSeed)
 {
     const auto catalog = smallCatalog();
     const auto trace = poissonTrace(catalog, 200, 3);
-    ServingSimulator a(catalog,
-                       templates::hetSides3x3(templates::kArvrPes));
-    ServingSimulator b(catalog,
-                       templates::hetSides3x3(templates::kArvrPes));
+    FleetSimulator a(catalog,
+                     templates::hetSides3x3(templates::kArvrPes));
+    FleetSimulator b(catalog,
+                     templates::hetSides3x3(templates::kArvrPes));
     const ServingReport ra = a.run(trace);
     const ServingReport rb = b.run(trace);
     EXPECT_DOUBLE_EQ(ra.p99LatencySec, rb.p99LatencySec);
@@ -474,8 +407,8 @@ TEST(ServingSim, RejectsDuplicateCatalogNames)
     catalog[0].model = zoo::eyeCod(4);
     catalog[1].model = zoo::eyeCod(2); // same name, different batch
     EXPECT_THROW(
-        ServingSimulator(catalog,
-                         templates::hetSides3x3(templates::kArvrPes)),
+        FleetSimulator(catalog,
+                       templates::hetSides3x3(templates::kArvrPes)),
         FatalError)
         << "duplicate names would alias mix signatures";
 }
@@ -483,8 +416,8 @@ TEST(ServingSim, RejectsDuplicateCatalogNames)
 TEST(ServingSim, ReportRendererMentionsKeyMetrics)
 {
     const auto catalog = smallCatalog();
-    ServingSimulator sim(catalog,
-                         templates::hetSides3x3(templates::kArvrPes));
+    FleetSimulator sim(catalog,
+                       templates::hetSides3x3(templates::kArvrPes));
     const ServingReport report =
         sim.run(poissonTrace(catalog, 50, 1));
     const std::string text = describeServingReport(report);
