@@ -22,9 +22,9 @@
  *    (ServingReport::throughputRps, completed per virtual second);
  *    the Speedup column is relative to the blocking baseline row.
  *  - Threads scale *wall time* only: the same virtual result is
- *    produced faster when searches fan out across the pool. Virtual
- *    columns are bit-identical across thread counts — the
- *    determinism contract of the parallel search core.
+ *    produced faster when solves run side by side on the pool.
+ *    Virtual columns are bit-identical across thread counts — the
+ *    serving runtime's determinism contract.
  *
  * Raw series: bench_results/fleet_scaling.csv (columns documented in
  * bench/README.md).

@@ -11,10 +11,10 @@
  * caches never erase — which keeps probing tombstone-free.
  *
  * Not a general-purpose container: no erase, no iteration order
- * guarantees, keys and values must be movable. Determinism note: the
- * caches built on this map store values that are pure functions of
- * their key, so lookup/insertion order (and therefore thread
- * interleaving) can never change what a query returns.
+ * guarantees, keys and values must be movable, and not synchronized.
+ * Determinism note: the caches built on this map store values that
+ * are pure functions of their key, so lookup/insertion order can
+ * never change what a query returns.
  */
 
 #ifndef SCAR_COMMON_FLAT_HASH_H

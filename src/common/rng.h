@@ -19,11 +19,10 @@ namespace scar
 
 /**
  * Derives an independent stream seed from a base seed and a stream
- * index (splitmix64 finalizer). The parallel search uses this to give
- * every window, segmentation pass, and combo its own deterministic
- * RNG stream: results no longer depend on how much entropy a
- * previously run task consumed, so loops can fan out across threads
- * and still reproduce the serial schedule bit for bit.
+ * index (splitmix64 finalizer). The search uses this to give every
+ * window and segmentation pass its own deterministic RNG stream:
+ * results do not depend on how much entropy a previously run stage
+ * consumed.
  */
 inline std::uint64_t
 mixSeed(std::uint64_t seed, std::uint64_t stream)

@@ -1,6 +1,5 @@
 #include "common/thread_pool.h"
 
-#include <atomic>
 #include <cstdlib>
 
 #include "common/error.h"
@@ -77,69 +76,6 @@ ThreadPool::workerLoop()
         }
         task();
     }
-}
-
-void
-ThreadPool::parallelFor(std::size_t n,
-                        const std::function<void(std::size_t)>& body)
-{
-    if (n == 0)
-        return;
-    if (workers_.empty() || n == 1) {
-        for (std::size_t i = 0; i < n; ++i)
-            body(i);
-        return;
-    }
-
-    /**
-     * Shared loop state. Tasks claim indices from `next`; a late task
-     * that starts after the loop finished claims nothing and only
-     * touches this control block (kept alive by shared_ptr), never
-     * the caller-owned body.
-     */
-    struct Ctl
-    {
-        std::atomic<std::size_t> next{0};
-        std::atomic<std::size_t> done{0};
-        std::size_t total = 0;
-        const std::function<void(std::size_t)>* body = nullptr;
-        std::mutex mu;
-        std::condition_variable cv;
-        std::exception_ptr error; ///< first failure wins (guarded by mu)
-    };
-    auto ctl = std::make_shared<Ctl>();
-    ctl->total = n;
-    ctl->body = &body;
-
-    const auto work = [](const std::shared_ptr<Ctl>& c) {
-        for (;;) {
-            const std::size_t i = c->next.fetch_add(1);
-            if (i >= c->total)
-                break;
-            try {
-                (*c->body)(i);
-            } catch (...) {
-                std::lock_guard<std::mutex> lock(c->mu);
-                if (!c->error)
-                    c->error = std::current_exception();
-            }
-            if (c->done.fetch_add(1) + 1 == c->total) {
-                std::lock_guard<std::mutex> lock(c->mu);
-                c->cv.notify_all();
-            }
-        }
-    };
-
-    const std::size_t helpers = std::min(workers_.size(), n - 1);
-    for (std::size_t h = 0; h < helpers; ++h)
-        enqueue([ctl, work] { work(ctl); });
-    work(ctl);
-
-    std::unique_lock<std::mutex> lock(ctl->mu);
-    ctl->cv.wait(lock,
-                 [&] { return ctl->done.load() >= ctl->total; });
-    if (ctl->error)
-        std::rethrow_exception(ctl->error);
 }
 
 } // namespace scar

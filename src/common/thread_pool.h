@@ -1,36 +1,27 @@
 /**
  * @file
- * Fixed-size worker pool: the parallel execution substrate shared by
- * the search engines (combo fan-out, EA population evaluation) and
- * the serving runtime (background schedule solves).
+ * Fixed-size worker pool: the parallel execution substrate of the
+ * serving runtime, which runs whole schedule solves side by side
+ * (AsyncScheduleCache). Each solve is serial inside itself.
  *
  * Concurrency model:
  *  - A pool of `concurrency` is the caller thread plus concurrency-1
  *    workers, so ThreadPool(1) has no workers and degrades to fully
  *    serial inline execution — the `-DSCAR_THREADS=1` CI job exercises
  *    exactly this path.
- *  - parallelFor(n, body) runs body(0..n-1) with the caller claiming
- *    indices alongside the workers (caller-help). Because the caller
- *    always participates and tasks claim indices from a shared atomic
- *    counter, nested parallelFor calls from inside pool tasks cannot
- *    deadlock: worst case the nested loop runs entirely on the
- *    already-running thread.
  *  - submit(fn) enqueues a future-backed task; with no workers it runs
  *    fn inline at submit time, which reduces the async schedule cache
- *    to the blocking PR 1 behavior under SCAR_THREADS=1.
+ *    to the blocking behavior under SCAR_THREADS=1.
  *
- * Determinism contract: the pool provides raw concurrency only. All
- * SCAR search results are bit-identical at any pool size because the
- * parallelized loops (a) derive per-task RNG streams from
- * mixSeed(seed, index) rather than sharing one generator, and (b)
- * merge per-task results in fixed index order before any ranking.
+ * Determinism contract: the pool provides raw concurrency only. A
+ * solve's result depends on its inputs and seed alone, never on which
+ * thread runs it or what runs beside it.
  */
 
 #ifndef SCAR_COMMON_THREAD_POOL_H
 #define SCAR_COMMON_THREAD_POOL_H
 
 #include <condition_variable>
-#include <cstddef>
 #include <deque>
 #include <functional>
 #include <future>
@@ -43,7 +34,7 @@
 namespace scar
 {
 
-/** Fixed-size worker pool with parallelFor and task futures. */
+/** Fixed-size worker pool with task futures. */
 class ThreadPool
 {
   public:
@@ -72,15 +63,6 @@ class ThreadPool
 
     /** The concurrency global() is (or would be) created with. */
     static int defaultConcurrency();
-
-    /**
-     * Runs body(i) for every i in [0, n) and blocks until all
-     * complete. The caller participates, so the call never deadlocks
-     * even when issued from inside a pool task. The first exception
-     * thrown by any body is rethrown after the loop drains.
-     */
-    void parallelFor(std::size_t n,
-                     const std::function<void(std::size_t)>& body);
 
     /**
      * Enqueues fn on the pool and returns its future. With zero
@@ -112,23 +94,6 @@ class ThreadPool
     std::condition_variable cv_;
     bool stop_ = false;
 };
-
-/**
- * Runs body(0..n-1) on the pool, or inline when pool is null — the
- * shared dispatch idiom of every optionally-parallel loop (combo
- * fan-out, segmentation refinement, EA fitness batches).
- */
-inline void
-forEachIndex(ThreadPool* pool, std::size_t n,
-             const std::function<void(std::size_t)>& body)
-{
-    if (pool != nullptr) {
-        pool->parallelFor(n, body);
-        return;
-    }
-    for (std::size_t i = 0; i < n; ++i)
-        body(i);
-}
 
 } // namespace scar
 

@@ -24,18 +24,15 @@ rate(std::int64_t hits, std::int64_t misses)
 void
 SolveProfile::captureCounters(const SearchCounters& counters)
 {
-    const auto load = [](const std::atomic<std::int64_t>& a) {
-        return a.load(std::memory_order_relaxed);
-    };
-    soloHits = load(counters.soloHits);
-    soloMisses = load(counters.soloMisses);
-    pathHits = load(counters.pathHits);
-    pathMisses = load(counters.pathMisses);
-    windowEvals = load(counters.windowEvals);
-    combosPlaced = load(counters.combosPlaced);
-    eaGenerations = load(counters.eaGenerations);
-    costDbRangeQueries = load(counters.costDbRangeQueries);
-    costDbLayerQueries = load(counters.costDbLayerQueries);
+    soloHits = counters.soloHits;
+    soloMisses = counters.soloMisses;
+    pathHits = counters.pathHits;
+    pathMisses = counters.pathMisses;
+    windowEvals = counters.windowEvals;
+    combosPlaced = counters.combosPlaced;
+    eaGenerations = counters.eaGenerations;
+    costDbRangeQueries = counters.costDbRangeQueries;
+    costDbLayerQueries = counters.costDbLayerQueries;
 }
 
 double

@@ -3,20 +3,19 @@
  * Solver profiling types: live search counters and the structured
  * per-solve profile emitted by Scar::run.
  *
- * SearchCounters is the hot-path half — a bag of relaxed atomics the
+ * SearchCounters is the hot-path half — a bag of plain counters the
  * sched/cost layers bump through a nullable pointer, so the disabled
  * path costs one predicted branch per site. SolveProfile is the cold
  * half — a plain snapshot of those counters plus per-phase wall
  * timings, filled once at the end of a profiled solve.
  *
- * Counter values are exact at any thread count (relaxed atomic
- * increments commute); only the wall timings vary run to run.
+ * Counter values are exact (a solve is serial); only the wall timings
+ * vary run to run.
  */
 
 #ifndef SCAR_OBS_SOLVE_PROFILE_H
 #define SCAR_OBS_SOLVE_PROFILE_H
 
-#include <atomic>
 #include <cstdint>
 #include <string>
 
@@ -26,31 +25,28 @@ namespace obs
 {
 
 /**
- * Cache-efficacy and fan-out counters bumped inside the window
- * search. All increments use relaxed memory order: counts are
- * aggregates read only after the solve joins its workers.
+ * Cache-efficacy and search-size counters bumped inside the window
+ * search. Not synchronized: one set belongs to one serial solve.
  */
 struct SearchCounters
 {
-    std::atomic<std::int64_t> soloHits{0};
-    std::atomic<std::int64_t> soloMisses{0};
-    std::atomic<std::int64_t> pathHits{0};
-    std::atomic<std::int64_t> pathMisses{0};
-    std::atomic<std::int64_t> windowEvals{0};   ///< evaluator calls
-    std::atomic<std::int64_t> combosPlaced{0};  ///< combo fan-out size
-    std::atomic<std::int64_t> eaGenerations{0}; ///< EA bred generations
-    std::atomic<std::int64_t> costDbRangeQueries{0}; ///< O(1) tables
-    std::atomic<std::int64_t> costDbLayerQueries{0}; ///< per-layer path
+    std::int64_t soloHits = 0;
+    std::int64_t soloMisses = 0;
+    std::int64_t pathHits = 0;
+    std::int64_t pathMisses = 0;
+    std::int64_t windowEvals = 0;   ///< evaluator calls
+    std::int64_t combosPlaced = 0;  ///< combos placed by the beam
+    std::int64_t eaGenerations = 0; ///< EA bred generations
+    std::int64_t costDbRangeQueries = 0; ///< O(1) tables
+    std::int64_t costDbLayerQueries = 0; ///< per-layer path
 
     /** Bumps a counter through a nullable pointer. */
     static void
-    bump(SearchCounters* counters,
-         std::atomic<std::int64_t> SearchCounters::* member,
+    bump(SearchCounters* counters, std::int64_t SearchCounters::* member,
          std::int64_t delta = 1)
     {
         if (counters)
-            (counters->*member).fetch_add(delta,
-                                          std::memory_order_relaxed);
+            counters->*member += delta;
     }
 };
 

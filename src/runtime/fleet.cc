@@ -800,14 +800,7 @@ FleetSimulator::beginRun(RunState& st)
     for (std::size_t s = 0; s < shards_.size(); ++s) {
         const Mcm* tpl = &templates_[s];
         st.computes.push_back([this, tpl](const Scenario& mix) {
-            ScarOptions so = options_.serving.scar;
-            // Default the search onto the fleet's pool, but let an
-            // explicit scar.pool or scar.threads setting win — the
-            // ScarOptions contract (threads = 1 forces a serial
-            // search) must keep working inside the serving runtime.
-            if (so.pool == nullptr && so.threads == 0)
-                so.pool = pool_;
-            Scar scar(mix, *tpl, so);
+            Scar scar(mix, *tpl, options_.serving.scar);
             return scar.run();
         });
     }

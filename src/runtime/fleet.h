@@ -202,9 +202,9 @@ struct ServingOptions
     /** Request-level boundary preemption (off by default). */
     PreemptionOptions preemption;
     /**
-     * Worker pool for background solves and the search fan-out
-     * inside each solve (not owned); nullptr uses
-     * ThreadPool::global().
+     * Worker pool for background solves (not owned); nullptr uses
+     * ThreadPool::global(). Solves run side by side on it; each
+     * solve is serial inside itself.
      */
     ThreadPool* pool = nullptr;
 };

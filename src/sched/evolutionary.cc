@@ -13,8 +13,7 @@ EvolutionaryWindowSearch::EvolutionaryWindowSearch(
     const CostDb& db, OptTarget target, WindowSearchOptions schedOpts,
     EvoOptions evoOpts)
     : db_(db), target_(target), scheduler_(db, target, schedOpts),
-      evo_(evoOpts), pool_(schedOpts.pool),
-      counters_(schedOpts.counters)
+      evo_(evoOpts), counters_(schedOpts.counters)
 {
     SCAR_REQUIRE(evo_.population >= 2, "population must be >= 2");
     SCAR_REQUIRE(evo_.generations >= 1, "generations must be >= 1");
@@ -142,11 +141,10 @@ EvolutionaryWindowSearch::search(const WindowAssignment& wa,
         population.push_back(std::move(ind));
     }
 
-    // Fitness evaluation is the expensive step (beam placement + full
-    // window evaluation) and carries no RNG, so a batch of
-    // individuals evaluates in parallel; the shared solo-cost cache
-    // only memoizes deterministic values. Candidate lists then merge
-    // in population index order for pool-size-independent results.
+    // Fitness evaluation (beam placement + full window evaluation)
+    // carries no RNG; the shared solo-cost cache only memoizes
+    // deterministic values. Candidate lists merge in population index
+    // order.
     WindowScheduler::Result global;
     WindowScheduler::SoloCache soloCache;
     // The EA re-places thousands of genomes on the same topology, so
@@ -154,31 +152,20 @@ EvolutionaryWindowSearch::search(const WindowAssignment& wa,
     // values; see PathCache).
     PathCache pathCache;
     pathCache.setCounters(counters_);
-    auto evaluateBatch = [&](std::vector<Individual*>& batch) {
-        forEachIndex(pool_, batch.size(), [&](std::size_t i) {
-            Individual& ind = *batch[i];
-            ind.result = scheduler_.placeSegmentations(
-                present, decode(ind.genome, present, wa), entry,
-                &soloCache, &pathCache);
-            ind.fitness = ind.result.found
-                              ? ind.result.best.score
-                              : std::numeric_limits<double>::infinity();
-        });
-        for (Individual* ind : batch) {
-            if (ind->result.found) {
-                global.top.insert(global.top.end(),
-                                  ind->result.top.begin(),
-                                  ind->result.top.end());
-            }
+    auto evaluate = [&](Individual& ind) {
+        ind.result = scheduler_.placeSegmentations(
+            present, decode(ind.genome, present, wa), entry, &soloCache,
+            &pathCache);
+        ind.fitness = ind.result.found
+                          ? ind.result.best.score
+                          : std::numeric_limits<double>::infinity();
+        if (ind.result.found) {
+            global.top.insert(global.top.end(), ind.result.top.begin(),
+                              ind.result.top.end());
         }
     };
-
-    {
-        std::vector<Individual*> batch;
-        for (Individual& ind : population)
-            batch.push_back(&ind);
-        evaluateBatch(batch);
-    }
+    for (Individual& ind : population)
+        evaluate(ind);
 
     auto byFitness = [](const Individual& a, const Individual& b) {
         return a.fitness < b.fitness;
@@ -198,7 +185,7 @@ EvolutionaryWindowSearch::search(const WindowAssignment& wa,
         };
         // Selection/crossover/mutation only read the previous
         // generation's fitness, so all children are bred first (one
-        // serial RNG stream) and evaluated as one parallel batch.
+        // serial RNG stream) and evaluated as one batch.
         while (static_cast<int>(next.size()) < evo_.population) {
             Individual child;
             child.genome = tournament().genome;
@@ -212,10 +199,8 @@ EvolutionaryWindowSearch::search(const WindowAssignment& wa,
             mutate(child.genome, present, wa, nodes, rng);
             next.push_back(std::move(child));
         }
-        std::vector<Individual*> batch;
         for (std::size_t i = evo_.eliteCount; i < next.size(); ++i)
-            batch.push_back(&next[i]);
-        evaluateBatch(batch);
+            evaluate(next[i]);
         population = std::move(next);
     }
 

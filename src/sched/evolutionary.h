@@ -9,13 +9,12 @@
  * the SCHED pipeline. Defaults follow the paper: population 10,
  * 4 generations.
  *
- * Parallelism: genome creation (selection, crossover, mutation) stays
- * serial on one seeded stream — it is cheap and order-sensitive — but
- * fitness evaluation, the expensive placement step, fans out across
- * the worker pool. Tournament selection only reads the previous
- * generation, so deferring child evaluations to a per-generation
- * batch changes nothing; candidate lists merge in population index
- * order, keeping results bit-identical at any pool size.
+ * Evaluation order: genome creation (selection, crossover, mutation)
+ * draws from one seeded stream, and each generation's children are
+ * bred before any of them is evaluated. Tournament selection only
+ * reads the previous generation, so evaluating children as one
+ * per-generation batch changes nothing; candidate lists merge in
+ * population index order. The search is serial inside itself.
  */
 
 #ifndef SCAR_SCHED_EVOLUTIONARY_H
@@ -71,7 +70,6 @@ class EvolutionaryWindowSearch
     OptTarget target_;
     WindowScheduler scheduler_;
     EvoOptions evo_;
-    ThreadPool* pool_;
     obs::SearchCounters* counters_; ///< from schedOpts; may be null
 };
 

@@ -47,16 +47,6 @@ Scar::Scar(Scenario scenario, Mcm mcm, ScarOptions options)
     SCAR_REQUIRE(scenario_.numModels() >= 1, "scenario has no models");
     SCAR_REQUIRE(options_.nsplits >= 0, "nsplits must be >= 0");
     SCAR_REQUIRE(options_.threads >= 0, "threads must be >= 0");
-    if (options_.pool != nullptr) {
-        pool_ = options_.pool;
-    } else if (options_.threads == 1) {
-        pool_ = nullptr; // fully serial search
-    } else if (options_.threads > 1) {
-        ownedPool_ = std::make_unique<ThreadPool>(options_.threads);
-        pool_ = ownedPool_.get();
-    } else {
-        pool_ = &ThreadPool::global();
-    }
 }
 
 WindowScheduler::Result
@@ -65,7 +55,6 @@ Scar::searchWindow(const WindowAssignment& wa, const NodeAllocation& nodes,
                    const std::vector<int>& entry) const
 {
     WindowSearchOptions wopts = options_.window;
-    wopts.pool = pool_;
     wopts.counters = runCounters_;
     if (options_.mode == SearchMode::Evolutionary) {
         EvolutionaryWindowSearch evo(db_, options_.target, wopts,

@@ -18,23 +18,21 @@
  *   ScheduleResult result = scar.run();
  * @endcode
  *
- * Parallelism: the per-window search (combo fan-out, EA population
- * evaluation) runs on a worker pool selected by ScarOptions::threads.
- * Every randomized stage draws from its own mixSeed-derived stream,
- * so run() returns a bit-identical ScheduleResult at any pool size —
- * including fully serial — and is safe to invoke concurrently from
- * multiple threads (e.g. background schedule solves in the serving
- * runtime). Exception: a profiled run (ScarOptions::profile set)
- * attaches live counters to the instance and must run exclusively.
+ * Parallelism: run() is serial inside itself. Parallelism comes from
+ * running whole solves side by side, as the serving runtime does on
+ * its solve pool. Every randomized stage draws from its own
+ * mixSeed-derived stream, so run() returns a ScheduleResult that
+ * depends on the inputs and the seed alone, and it is safe to invoke
+ * concurrently from multiple threads. Exception: a profiled run
+ * (ScarOptions::profile set) attaches live counters to the instance
+ * and must run exclusively.
  */
 
 #ifndef SCAR_SCHED_SCAR_H
 #define SCAR_SCHED_SCAR_H
 
 #include <cstdint>
-#include <memory>
 
-#include "common/thread_pool.h"
 #include "obs/solve_profile.h"
 #include "sched/evolutionary.h"
 #include "sched/greedy_packing.h"
@@ -63,15 +61,12 @@ struct ScarOptions
     EvoOptions evo;
     std::uint64_t seed = 0xC0FFEEuLL;
     /**
-     * Search parallelism: 0 uses the process-wide ThreadPool::global()
-     * (SCAR_THREADS env / hardware size), 1 forces a fully serial
-     * search, N > 1 gives this scheduler a dedicated pool of that
-     * concurrency. Ignored when `pool` is set. Results are identical
-     * for every setting.
+     * Has no effect: the search is serial at every value. Only the
+     * `>= 0` check reads it. The field stays because the repository
+     * benchmark program (perfbench/scarbench.cc) still assigns it;
+     * it goes when that program changes.
      */
     int threads = 0;
-    /** Explicit worker pool override (not owned); wins over threads. */
-    ThreadPool* pool = nullptr;
     /**
      * When set, run() fills this with per-phase wall timings and
      * cache-efficacy counters (see obs/solve_profile.h). Profiling
@@ -164,8 +159,6 @@ class Scar
     ScarOptions options_;
     CostDb db_;
     obs::SearchCounters* runCounters_ = nullptr; ///< live in profiled run()
-    std::unique_ptr<ThreadPool> ownedPool_; ///< when threads > 1
-    ThreadPool* pool_ = nullptr;            ///< null = serial search
 };
 
 } // namespace scar

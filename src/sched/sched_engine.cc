@@ -86,11 +86,10 @@ WindowScheduler::soloCost(int model, const Segmentation& seg,
     key.push_back(-2);
     key.insert(key.end(), path.begin(), path.end());
 
-    std::pair<double, double> cached;
-    if (cache.find(key, cached)) {
+    if (const auto* cached = cache.find(key)) {
         obs::SearchCounters::bump(opts_.counters,
                                   &obs::SearchCounters::soloHits);
-        return cached;
+        return *cached;
     }
     obs::SearchCounters::bump(opts_.counters,
                               &obs::SearchCounters::soloMisses);
@@ -124,12 +123,12 @@ WindowScheduler::refineSegmentations(int model,
     const Topology& topo = db_.mcm().topology();
     const std::vector<bool> noneBlocked(topo.numNodes(), false);
 
-    // Candidate scoring is independent per candidate; fan out and
-    // collect by index so the ranking below sees a fixed order.
+    // Score every candidate by index so the ranking below sees a
+    // fixed order.
     std::vector<double> bestScore(
         pruned.size(), std::numeric_limits<double>::infinity());
     std::vector<char> placeable(pruned.size(), 0);
-    forEachIndex(opts_.pool, pruned.size(), [&](std::size_t i) {
+    for (std::size_t i = 0; i < pruned.size(); ++i) {
         const int numSegs = pruned[i].numSegments();
         const auto paths = pathCache.get(
             topo, numSegs, noneBlocked, opts_.maxPathsPerModel);
@@ -143,7 +142,7 @@ WindowScheduler::refineSegmentations(int model,
         }
         bestScore[i] = best;
         placeable[i] = paths->empty() ? 0 : 1;
-    });
+    }
 
     std::vector<std::pair<double, std::size_t>> scored;
     for (std::size_t i = 0; i < pruned.size(); ++i) {
@@ -367,18 +366,17 @@ WindowScheduler::search(const WindowAssignment& wa,
         }
     }
 
-    // Combo placements are independent; fan out across the pool and
-    // merge in combo index order so the stable ranking below is
-    // identical at any pool size.
+    // Place each combo into its own result and merge in combo index
+    // order, which the stable ranking below depends on.
     std::vector<Result> comboResults(combos.size());
-    forEachIndex(opts_.pool, combos.size(), [&](std::size_t ci) {
+    for (std::size_t ci = 0; ci < combos.size(); ++ci) {
         std::vector<Segmentation> segs;
         segs.reserve(combos[ci].size());
         for (std::size_t i = 0; i < combos[ci].size(); ++i)
             segs.push_back(segLists[i][combos[ci][i]]);
         placeCombo(present, segs, entry, cache, pathCache,
                    comboResults[ci]);
-    });
+    }
 
     Result result;
     for (Result& cr : comboResults) {

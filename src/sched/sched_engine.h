@@ -19,13 +19,12 @@
  *  3. complete placements are re-scored with the full window evaluator
  *     (contention + DRAM roofline) and ranked.
  *
- * Parallelism and determinism: search() is re-entrant. Randomness
- * comes from a seed value, not a shared generator — each model's
- * segmentation pass draws from its own mixSeed(seed, model) stream.
- * The combo loop and the refinement pass fan out across the optional
- * worker pool; per-combo results are merged in combo index order and
- * ranked with a stable sort, so the returned Result is bit-identical
- * at any pool size (including fully serial).
+ * Determinism: search() is serial and re-entrant, so concurrent
+ * solves may share one instance. Randomness comes from a seed value,
+ * not a shared generator — each model's segmentation pass draws from
+ * its own mixSeed(seed, model) stream. Per-combo results are merged
+ * in combo index order and ranked with a stable sort, so the returned
+ * Result is a function of the inputs and the seed alone.
  *
  * All enumeration caps are explicit in WindowSearchOptions; exceeding
  * a cap logs at debug level rather than failing silently.
@@ -35,13 +34,11 @@
 #define SCAR_SCHED_SCHED_ENGINE_H
 
 #include <cstdint>
-#include <mutex>
 #include <utility>
 #include <vector>
 
 #include "common/flat_hash.h"
 #include "common/rng.h"
-#include "common/thread_pool.h"
 #include "cost/window_evaluator.h"
 #include "eval/metrics.h"
 #include "sched/provisioner.h"
@@ -62,12 +59,7 @@ struct WindowSearchOptions
     int maxTopCandidates = 32;   ///< ranked placements kept for Pareto
     EvaluatorOptions eval;       ///< final-evaluation options
     /**
-     * Worker pool for the combo/refinement fan-out; nullptr runs the
-     * search serially. Results are identical either way.
-     */
-    ThreadPool* pool = nullptr;
-    /**
-     * Live profiling counters (cache hits, fan-out sizes); nullptr —
+     * Live profiling counters (cache hits, combos placed); nullptr —
      * the default — records nothing and costs one predicted branch
      * per site. Counters never influence search results.
      */
@@ -95,43 +87,15 @@ class WindowScheduler
     };
 
     /**
-     * Thread-safe memo of contention-free single-model costs, shared
-     * across the combo fan-out (and, for the evolutionary driver,
-     * across a whole EA run). Values are deterministic functions of
-     * the key, so concurrent insertion order never changes results.
-     * Backed by the open-addressing FlatHashMap (common/flat_hash.h):
-     * the pre-PR std::map paid an ordered-tree walk with a full
-     * lexicographic vector comparison per node on every probe of the
-     * beam search's hottest lookup.
+     * Per-solve memo of contention-free single-model (latency,
+     * energy) costs, shared across the combos of one window search
+     * (and, for the evolutionary driver, across a whole EA run).
+     * Values are deterministic functions of the key. Not
+     * synchronized: one memo belongs to one serial search.
      */
-    class SoloCache
-    {
-      public:
-        bool
-        find(const std::vector<int>& key,
-             std::pair<double, double>& out) const
-        {
-            std::lock_guard<std::mutex> lock(mu_);
-            const auto* value = map_.find(key);
-            if (value == nullptr)
-                return false;
-            out = *value;
-            return true;
-        }
-
-        void
-        insert(std::vector<int> key, std::pair<double, double> value)
-        {
-            std::lock_guard<std::mutex> lock(mu_);
-            map_.insert(std::move(key), value);
-        }
-
-      private:
-        mutable std::mutex mu_;
-        FlatHashMap<std::vector<int>, std::pair<double, double>,
-                    IntSequenceHash>
-            map_;
-    };
+    using SoloCache = FlatHashMap<std::vector<int>,
+                                  std::pair<double, double>,
+                                  IntSequenceHash>;
 
     WindowScheduler(const CostDb& db, OptTarget target,
                     WindowSearchOptions opts = WindowSearchOptions{});
@@ -201,8 +165,7 @@ class WindowScheduler
     /**
      * Placement-aware refinement of Heuristic 1: re-scores pruned
      * segmentation candidates by their best single-model placement on
-     * the empty package and keeps the top-k. Candidate scoring fans
-     * out across the pool.
+     * the empty package and keeps the top-k.
      */
     std::vector<Segmentation> refineSegmentations(
         int model, std::vector<Segmentation> pruned, int entry,

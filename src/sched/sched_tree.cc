@@ -93,30 +93,22 @@ PathCache::get(const Topology& topo, int length,
             key.blockedMask |= std::uint64_t{1} << n;
     }
 
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        SCAR_ASSERT(topo_ == nullptr || topo_ == &topo,
-                    "PathCache shared across different topologies");
-        SCAR_ASSERT(maxTotal_ < 0 || maxTotal_ == maxTotal,
-                    "PathCache shared across different maxTotal caps");
-        topo_ = &topo;
-        maxTotal_ = maxTotal;
-        if (const auto* cached = map_.find(key)) {
-            obs::SearchCounters::bump(counters_,
-                                      &obs::SearchCounters::pathHits);
-            return *cached;
-        }
+    SCAR_ASSERT(topo_ == nullptr || topo_ == &topo,
+                "PathCache shared across different topologies");
+    SCAR_ASSERT(maxTotal_ < 0 || maxTotal_ == maxTotal,
+                "PathCache shared across different maxTotal caps");
+    topo_ = &topo;
+    maxTotal_ = maxTotal;
+    if (const auto* cached = map_.find(key)) {
         obs::SearchCounters::bump(counters_,
-                                  &obs::SearchCounters::pathMisses);
+                                  &obs::SearchCounters::pathHits);
+        return *cached;
     }
-
-    // Enumerate outside the lock: concurrent misses on one key then
-    // race benign duplicates (identical values), and insert() keeps
-    // the first.
-    auto paths = std::make_shared<const PathList>(
-        enumeratePathsAllRoots(topo, length, blocked, maxTotal));
-    std::lock_guard<std::mutex> lock(mu_);
-    return map_.insert(key, std::move(paths));
+    obs::SearchCounters::bump(counters_,
+                              &obs::SearchCounters::pathMisses);
+    return map_.insert(key, std::make_shared<const PathList>(
+                                enumeratePathsAllRoots(
+                                    topo, length, blocked, maxTotal)));
 }
 
 } // namespace scar

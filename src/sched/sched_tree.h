@@ -14,7 +14,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <vector>
 
 #include "arch/topology.h"
@@ -43,7 +42,7 @@ std::vector<std::vector<int>> enumeratePathsAllRoots(
     int maxTotal);
 
 /**
- * Thread-safe memo of enumeratePathsAllRoots results keyed by
+ * Per-solve memo of enumeratePathsAllRoots results keyed by
  * (path length, blocked-node bitmask).
  *
  * The beam search re-enumerates paths for every beam state, and beam
@@ -51,9 +50,9 @@ std::vector<std::vector<int>> enumeratePathsAllRoots(
  * combo of a window search starts from the same empty package, and
  * most beams agree on which chiplets earlier models claimed. The
  * cached value is a pure function of the key (the DFS is
- * deterministic and RNG-free), so sharing one cache across the combo
- * fan-out — or across a whole EA run — cannot change any result,
- * whatever the thread interleaving.
+ * deterministic and RNG-free), so sharing one cache across the combos
+ * of a window search — or across a whole EA run — cannot change any
+ * result. Not synchronized: one cache belongs to one serial search.
  *
  * Topologies with more than 64 nodes don't fit the bitmask key and
  * bypass the cache (correct, just unmemoized).
@@ -108,7 +107,6 @@ class PathCache
         }
     };
 
-    mutable std::mutex mu_;
     FlatHashMap<Key, std::shared_ptr<const PathList>, KeyHash> map_;
     const Topology* topo_ = nullptr; ///< pinned by the first get()
     int maxTotal_ = -1;              ///< pinned by the first get()

@@ -5,7 +5,7 @@
  * per-transfer reference on seeded random windows for every topology
  * class, CommFidelity::Static must reproduce the pre-phase evaluator
  * output byte-for-byte on the Table III scenarios, phased schedules
- * must be bit-identical at any thread count, and broadcast-plane
+ * must be bit-identical when solved side by side, and broadcast-plane
  * pricing must follow the single-slot model.
  *
  * The naive references here intentionally use ordered maps and
@@ -21,6 +21,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <future>
 #include <limits>
 #include <map>
 #include <random>
@@ -29,6 +30,7 @@
 #include <vector>
 
 #include "arch/mcm_templates.h"
+#include "common/thread_pool.h"
 #include "common/units.h"
 #include "cost/comm_model.h"
 #include "cost/cost_db.h"
@@ -546,9 +548,8 @@ TEST(CommPhased, ScheduleIsBitIdenticalAcrossThreadCounts)
     const Mcm mcm =
         templates::hetSidesBroadcast3x3(templates::kArvrPes);
 
-    auto runAt = [&](int threads) {
+    auto solve = [&] {
         ScarOptions options;
-        options.threads = threads;
         options.window.eval.fidelity = CommFidelity::Phased;
         Scar scar(sc, mcm, options);
         const ScheduleResult result = scar.run();
@@ -563,9 +564,16 @@ TEST(CommPhased, ScheduleIsBitIdenticalAcrossThreadCounts)
         return fingerprint;
     };
 
-    const std::string serial = runAt(1);
-    EXPECT_EQ(serial, runAt(4));
-    EXPECT_EQ(serial, runAt(8));
+    // Solves run side by side on the solve pool, never split inside.
+    const std::string serial = solve();
+    for (int threads : {4, 8}) {
+        ThreadPool pool(threads);
+        std::vector<std::future<std::string>> runs;
+        for (int i = 0; i < threads; ++i)
+            runs.push_back(pool.submit(solve));
+        for (std::future<std::string>& run : runs)
+            EXPECT_EQ(serial, run.get()) << "pool of " << threads;
+    }
 }
 
 // ---- Broadcast-plane pricing ---------------------------------------

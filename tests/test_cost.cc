@@ -468,12 +468,12 @@ TEST(WindowEvalContention, EvaluationNeverGrowsLoadTables)
     WindowPlacement placement;
     ModelPlacement a;
     a.modelIdx = 0;
-    a.segments = {PlacedSegment{LayerRange{0, 30}, 0},
-                  PlacedSegment{LayerRange{31, 71}, 3}};
+    a.segments.push_back(PlacedSegment{LayerRange{0, 30}, 0});
+    a.segments.push_back(PlacedSegment{LayerRange{31, 71}, 3});
     ModelPlacement b;
     b.modelIdx = 1;
-    b.segments = {PlacedSegment{LayerRange{0, 17}, 2},
-                  PlacedSegment{LayerRange{18, 35}, 5}};
+    b.segments.push_back(PlacedSegment{LayerRange{0, 17}, 2});
+    b.segments.push_back(PlacedSegment{LayerRange{18, 35}, 5});
     placement.models = {a, b};
 
     const WindowCost first = eval.evaluate(placement);
@@ -506,16 +506,16 @@ TEST(SoloFastPath, BitExactAgainstFullEvaluate)
         WindowPlacement whole;
         ModelPlacement mp;
         mp.modelIdx = model;
-        mp.segments = {PlacedSegment{LayerRange{0, last}, model}};
+        mp.segments.push_back(PlacedSegment{LayerRange{0, last}, model});
         whole.models = {mp};
         placements.push_back(whole);
 
         WindowPlacement split;
         ModelPlacement sp;
         sp.modelIdx = model;
-        sp.segments = {PlacedSegment{LayerRange{0, last / 2}, 1},
-                       PlacedSegment{LayerRange{last / 2 + 1, last},
-                                     4}};
+        sp.segments.push_back(PlacedSegment{LayerRange{0, last / 2}, 1});
+        sp.segments.push_back(
+            PlacedSegment{LayerRange{last / 2 + 1, last}, 4});
         split.models = {sp};
         placements.push_back(split);
     }
@@ -535,8 +535,8 @@ TEST(SoloFastPath, RequiresSoloConfiguration)
     WindowPlacement p;
     ModelPlacement mp;
     mp.modelIdx = 0;
-    mp.segments = {PlacedSegment{
-        LayerRange{0, sc.models[0].numLayers() - 1}, 0}};
+    mp.segments.push_back(PlacedSegment{
+        LayerRange{0, sc.models[0].numLayers() - 1}, 0});
     p.models = {mp};
 
     // Contention/roofline on: the fast path would not match evaluate.
@@ -546,8 +546,8 @@ TEST(SoloFastPath, RequiresSoloConfiguration)
     WindowPlacement two = p;
     ModelPlacement other;
     other.modelIdx = 1;
-    other.segments = {PlacedSegment{
-        LayerRange{0, sc.models[1].numLayers() - 1}, 5}};
+    other.segments.push_back(PlacedSegment{
+        LayerRange{0, sc.models[1].numLayers() - 1}, 5});
     two.models.push_back(other);
     const WindowEvaluator solo(db, {false, false});
     EXPECT_THROW(solo.evaluateSolo(two), FatalError);

@@ -13,8 +13,9 @@
  *  - goldens are captured from a reference build (the state BEFORE a
  *    hot-path optimization) by running the test binary with
  *    SCAR_GOLDEN_CAPTURE=1, and committed under tests/golden/;
- *  - every later build must reproduce them byte-for-byte, at 1, 4,
- *    and 8 worker threads, on the Table-4 datacenter and Table-5
+ *  - every later build must reproduce them byte-for-byte with 1, 4
+ *    and 8 solves side by side on a pool of that size (and a serving
+ *    run on such a solve pool), on the Table-4 datacenter and Table-5
  *    AR/VR golden scenarios and on a serving-runtime report;
  *  - floating-point bit patterns are toolchain-dependent (FMA
  *    contraction differs across compilers and -O levels), so the
@@ -28,12 +29,15 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <future>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "arch/mcm_templates.h"
+#include "common/thread_pool.h"
 #include "eval/scenario_suite.h"
 #include "runtime/fleet.h"
 #include "sched/scar.h"
@@ -266,13 +270,21 @@ checkGolden(const std::string& name, const std::string& produced)
         << " — the optimization changed observable bits";
 }
 
-ScheduleResult
+/**
+ * Runs `threads` identical solves side by side on a pool of that size
+ * and returns their serialization; every run must agree on it.
+ */
+std::string
 runScar(const Scenario& sc, const Mcm& mcm, int threads)
 {
-    ScarOptions opts;
-    opts.threads = threads;
-    Scar scar(sc, mcm, opts);
-    return scar.run();
+    ThreadPool pool(threads);
+    std::vector<std::future<ScheduleResult>> runs;
+    for (int i = 0; i < threads; ++i)
+        runs.push_back(pool.submit([&] { return Scar(sc, mcm).run(); }));
+    const std::string first = serialize(runs.front().get());
+    for (std::size_t i = 1; i < runs.size(); ++i)
+        EXPECT_EQ(first, serialize(runs[i].get())) << "run " << i;
+    return first;
 }
 
 ServingReport
@@ -291,7 +303,6 @@ runServing(int threads)
     }
     FleetOptions options;
     options.serving.admission.maxQueueDelaySec = 0.1;
-    options.serving.scar.threads = threads;
     ThreadPool pool(threads);
     options.serving.pool = &pool;
     FleetSimulator sim(catalog, templates::hetSides3x3(), options);
@@ -306,9 +317,9 @@ TEST(GoldenDeterminism, DatacenterSc4ByteIdentical)
 {
     const Scenario sc = suite::datacenterScenario(4);
     const Mcm mcm = templates::hetSides3x3();
-    const std::string at1 = serialize(runScar(sc, mcm, 1));
-    const std::string at4 = serialize(runScar(sc, mcm, 4));
-    const std::string at8 = serialize(runScar(sc, mcm, 8));
+    const std::string at1 = runScar(sc, mcm, 1);
+    const std::string at4 = runScar(sc, mcm, 4);
+    const std::string at8 = runScar(sc, mcm, 8);
     // Pool-size invariance needs no golden: always enforced.
     EXPECT_EQ(at1, at4);
     EXPECT_EQ(at1, at8);
@@ -321,9 +332,9 @@ TEST(GoldenDeterminism, ArvrSc7ByteIdentical)
 {
     const Scenario sc = suite::arvrScenario(7);
     const Mcm mcm = templates::hetSides3x3(templates::kArvrPes);
-    const std::string at1 = serialize(runScar(sc, mcm, 1));
-    const std::string at4 = serialize(runScar(sc, mcm, 4));
-    const std::string at8 = serialize(runScar(sc, mcm, 8));
+    const std::string at1 = runScar(sc, mcm, 1);
+    const std::string at4 = runScar(sc, mcm, 4);
+    const std::string at8 = runScar(sc, mcm, 8);
     EXPECT_EQ(at1, at4);
     EXPECT_EQ(at1, at8);
     checkGolden("arvr_sc7", at1);

@@ -16,6 +16,7 @@
 #include <atomic>
 #include <limits>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -490,17 +491,19 @@ TEST(AsyncScheduleCache, RacingLookupJoinSolvesExactlyOncePerKey)
     constexpr int kCallers = 4;
     std::vector<std::shared_ptr<const CachedSchedule>> seen(
         kKeys * kCallers);
-    ThreadPool callers(8);
-    callers.parallelFor(
-        static_cast<std::size_t>(kKeys * kCallers),
-        [&](std::size_t i) {
-            const int k = static_cast<int>(i) % kKeys;
+    std::vector<std::thread> callers;
+    for (int i = 0; i < kKeys * kCallers; ++i) {
+        callers.emplace_back([&, i] {
+            const int k = i % kKeys;
             const Scenario mix =
                 mixNamed("mix" + std::to_string(k), k + 1);
             const std::string key = mix.signature();
             cache.lookup(key, mix, compute, 0.0, 0.0);
             seen[i] = cache.join(key);
         });
+    }
+    for (std::thread& caller : callers)
+        caller.join();
     EXPECT_EQ(solves.load(), kKeys);
     EXPECT_EQ(cache.size(), static_cast<std::size_t>(kKeys));
     for (int key = 0; key < kKeys; ++key)

@@ -6,10 +6,13 @@
 
 #include <gtest/gtest.h>
 
+#include <future>
 #include <set>
+#include <vector>
 
 #include "arch/mcm_templates.h"
 #include "eval/scenario_suite.h"
+#include "common/thread_pool.h"
 #include "common/units.h"
 #include "sched/scar.h"
 #include "workload/model_zoo.h"
@@ -142,44 +145,38 @@ expectIdenticalResults(const ScheduleResult& a, const ScheduleResult& b)
     }
 }
 
-/** Tentpole acceptance: same seed => byte-identical ScheduleResult
- *  (windows, metrics, candidate order) at 1, 4, and 8 pool threads. */
-TEST(Scar, ByteIdenticalAcrossPoolSizes)
+/** Solves running side by side on a pool — the serving runtime's only
+ *  parallelism — each return the serial run's ScheduleResult bit for
+ *  bit, while sharing the process-wide CostDb table cache. */
+TEST(Scar, ConcurrentRunsMatchSerialRun)
 {
     const Scenario sc = smallScenario();
-    const Mcm mcm = templates::hetSides3x3(templates::kArvrPes);
-    ScarOptions serial;
-    serial.seed = 2024;
-    serial.threads = 1;
-    const ScheduleResult baseline = Scar(sc, mcm, serial).run();
+    ScarOptions brute;
+    brute.seed = 2024;
+    const Mcm brutePkg = templates::hetSides3x3(templates::kArvrPes);
+    ScarOptions evo;
+    evo.seed = 7;
+    evo.mode = SearchMode::Evolutionary;
+    evo.nsplits = 2;
+    const Mcm evoPkg = templates::hetCross6x6(templates::kArvrPes);
 
-    for (int threads : {4, 8}) {
-        ScarOptions opts;
-        opts.seed = 2024;
-        opts.threads = threads;
-        const ScheduleResult result = Scar(sc, mcm, opts).run();
-        SCOPED_TRACE("threads=" + std::to_string(threads));
-        expectIdenticalResults(baseline, result);
+    CostDb::clearTableCache();
+    const ScheduleResult bruteSerial = Scar(sc, brutePkg, brute).run();
+    const ScheduleResult evoSerial = Scar(sc, evoPkg, evo).run();
+
+    CostDb::clearTableCache();
+    ThreadPool pool(4);
+    std::vector<std::future<ScheduleResult>> bruteRuns, evoRuns;
+    for (int i = 0; i < 4; ++i) {
+        bruteRuns.push_back(pool.submit(
+            [&] { return Scar(sc, brutePkg, brute).run(); }));
+        evoRuns.push_back(
+            pool.submit([&] { return Scar(sc, evoPkg, evo).run(); }));
     }
-}
-
-TEST(Scar, ByteIdenticalAcrossPoolSizesEvolutionary)
-{
-    const Scenario sc = smallScenario();
-    const Mcm mcm = templates::hetCross6x6(templates::kArvrPes);
-    ScarOptions serial;
-    serial.seed = 7;
-    serial.threads = 1;
-    serial.mode = SearchMode::Evolutionary;
-    serial.nsplits = 2;
-    const ScheduleResult baseline = Scar(sc, mcm, serial).run();
-
-    for (int threads : {4, 8}) {
-        ScarOptions opts = serial;
-        opts.threads = threads;
-        const ScheduleResult result = Scar(sc, mcm, opts).run();
-        SCOPED_TRACE("threads=" + std::to_string(threads));
-        expectIdenticalResults(baseline, result);
+    for (int i = 0; i < 4; ++i) {
+        SCOPED_TRACE("run " + std::to_string(i));
+        expectIdenticalResults(bruteSerial, bruteRuns[i].get());
+        expectIdenticalResults(evoSerial, evoRuns[i].get());
     }
 }
 

@@ -1,8 +1,7 @@
 /**
  * @file
  * Tests for the SCHED engine and the evolutionary SEG driver:
- * feasibility, exclusivity, score ordering, determinism, and
- * pool-size independence of the parallel combo fan-out.
+ * feasibility, exclusivity, score ordering, and determinism.
  */
 
 #include <gtest/gtest.h>
@@ -10,7 +9,6 @@
 #include <set>
 
 #include "arch/mcm_templates.h"
-#include "common/thread_pool.h"
 #include "sched/evolutionary.h"
 #include "sched/sched_engine.h"
 #include "workload/model_zoo.h"
@@ -112,53 +110,6 @@ TEST_F(SchedEngineTest, DeterministicForFixedSeed)
     EXPECT_DOUBLE_EQ(a.best.score, b.best.score);
 }
 
-/** The tentpole guarantee: the ranked result is byte-identical at any
- *  pool size, including fully serial. */
-TEST_F(SchedEngineTest, PoolSizeDoesNotChangeResults)
-{
-    WindowSearchOptions serialOpts;
-    const WindowScheduler serial(*db_, OptTarget::Edp, serialOpts);
-    const auto baseline = serial.search(wa_, nodes_, 42);
-    ASSERT_TRUE(baseline.found);
-
-    for (int concurrency : {2, 4, 8}) {
-        ThreadPool pool(concurrency);
-        WindowSearchOptions opts;
-        opts.pool = &pool;
-        const WindowScheduler parallel(*db_, OptTarget::Edp, opts);
-        const auto result = parallel.search(wa_, nodes_, 42);
-        ASSERT_TRUE(result.found);
-        ASSERT_EQ(result.top.size(), baseline.top.size())
-            << "concurrency " << concurrency;
-        for (std::size_t i = 0; i < result.top.size(); ++i) {
-            EXPECT_EQ(result.top[i].score, baseline.top[i].score);
-            EXPECT_EQ(result.top[i].cost.latencyCycles,
-                      baseline.top[i].cost.latencyCycles);
-            EXPECT_EQ(result.top[i].cost.energyNj,
-                      baseline.top[i].cost.energyNj);
-            ASSERT_EQ(result.top[i].placement.models.size(),
-                      baseline.top[i].placement.models.size());
-            for (std::size_t m = 0;
-                 m < result.top[i].placement.models.size(); ++m) {
-                const ModelPlacement& got =
-                    result.top[i].placement.models[m];
-                const ModelPlacement& want =
-                    baseline.top[i].placement.models[m];
-                EXPECT_EQ(got.modelIdx, want.modelIdx);
-                ASSERT_EQ(got.segments.size(), want.segments.size());
-                for (std::size_t k = 0; k < got.segments.size(); ++k) {
-                    EXPECT_EQ(got.segments[k].chiplet,
-                              want.segments[k].chiplet);
-                    EXPECT_EQ(got.segments[k].range.first,
-                              want.segments[k].range.first);
-                    EXPECT_EQ(got.segments[k].range.last,
-                              want.segments[k].range.last);
-                }
-            }
-        }
-    }
-}
-
 TEST_F(SchedEngineTest, LatencyTargetPrefersFasterWindows)
 {
     const WindowScheduler latSched(*db_, OptTarget::Latency);
@@ -242,29 +193,6 @@ TEST_F(EvoTest, DeterministicForFixedSeed)
     const auto b = evo.search(wa_, nodes_, 7);
     ASSERT_TRUE(a.found && b.found);
     EXPECT_DOUBLE_EQ(a.best.score, b.best.score);
-}
-
-TEST_F(EvoTest, PoolSizeDoesNotChangeResults)
-{
-    WindowSearchOptions serialOpts;
-    const EvolutionaryWindowSearch serial(*db_, OptTarget::Edp,
-                                          serialOpts);
-    const auto baseline = serial.search(wa_, nodes_, 7);
-    ASSERT_TRUE(baseline.found);
-
-    for (int concurrency : {4, 8}) {
-        ThreadPool pool(concurrency);
-        WindowSearchOptions opts;
-        opts.pool = &pool;
-        const EvolutionaryWindowSearch parallel(*db_, OptTarget::Edp,
-                                                opts);
-        const auto result = parallel.search(wa_, nodes_, 7);
-        ASSERT_TRUE(result.found);
-        EXPECT_EQ(result.best.score, baseline.best.score);
-        ASSERT_EQ(result.top.size(), baseline.top.size());
-        for (std::size_t i = 0; i < result.top.size(); ++i)
-            EXPECT_EQ(result.top[i].score, baseline.top[i].score);
-    }
 }
 
 TEST_F(EvoTest, SeededGenomeMakesEvoCompetitiveWithBruteForce)
