@@ -147,10 +147,10 @@ BENCHMARK(BM_FleetEngineEventsLlm)->Arg(4);
  * shards all replay long multi-window schedules, so most boundaries
  * commit inside long drains (one calendar re-sync per shard per
  * drain) rather than one loop iteration each. The regression gate
- * holds the absolute event rate; the name predates the serial drain.
+ * holds the absolute event rate.
  */
 void
-BM_FleetEngineCommitBatched(benchmark::State& state)
+BM_FleetEngineSaturatedDrain(benchmark::State& state)
 {
     const int shards = 8;
     const int requests = 600;
@@ -180,7 +180,7 @@ BM_FleetEngineCommitBatched(benchmark::State& state)
     }
     state.SetItemsProcessed(state.iterations() * requests);
 }
-BENCHMARK(BM_FleetEngineCommitBatched);
+BENCHMARK(BM_FleetEngineSaturatedDrain);
 
 } // namespace
 

@@ -33,42 +33,6 @@ decodeRoundBatch(int boarded, int cap, bool quantize)
     return quantize ? std::min(nextPow2(boarded), cap) : boarded;
 }
 
-/** Context bucket and step count one decode round covers. */
-struct DecodeRound
-{
-    std::int64_t ctxBucket = 0;
-    int steps = 1;
-};
-
-/**
- * Plans the round for the given boarders: price the KV footprint at
- * the max rider context rounded up to the bucket, and advance by the
- * largest step count that (a) no unfinished rider overshoots its
- * output length, (b) no rider's context outgrows the priced bucket,
- * (c) stays within the profile's per-round cap.
- */
-DecodeRound
-planDecodeRound(const ServedModel& sm, const std::deque<Request>& q,
-                const std::vector<std::size_t>& boarders)
-{
-    std::int64_t maxCtx = 1;
-    int minRemaining = sm.llm.maxDecodeSteps;
-    for (const std::size_t i : boarders) {
-        const Request& req = q[i];
-        maxCtx = std::max(maxCtx, req.contextTokens());
-        const int remaining = req.outputTokens - req.generatedTokens;
-        if (remaining > 0)
-            minRemaining = std::min(minRemaining, remaining);
-    }
-    DecodeRound round;
-    round.ctxBucket = llmLengthBucket(maxCtx, sm.llm.contextBucket);
-    const std::int64_t toBucketEdge = round.ctxBucket - maxCtx + 1;
-    round.steps = static_cast<int>(std::min<std::int64_t>(
-        std::min(minRemaining, sm.llm.maxDecodeSteps), toBucketEdge));
-    round.steps = std::max(round.steps, 1);
-    return round;
-}
-
 } // namespace
 
 AdmissionController::AdmissionController(
@@ -384,57 +348,92 @@ AdmissionController::decodeQueuedCount(int model) const
     return static_cast<int>(decodeQueues_[model].size());
 }
 
-std::vector<std::size_t>
-AdmissionController::decodeBoarders(std::size_t model) const
+AdmissionController::DecodePlan
+AdmissionController::planDecode(std::size_t model) const
 {
+    const ServedModel& sm = catalog_[model];
     const auto& q = decodeQueues_[model];
-    const int cap = catalog_[model].model.batch;
-    std::vector<std::size_t> boarders;
+    DecodePlan plan;
     if (options_.llmBatching == LlmBatchingMode::Static) {
         // A waiting locked batch outranks fresh arrivals and boards
         // whole (its members only ever enter and leave the queue
         // together, so every member is present).
-        std::int64_t minId = -1;
         for (const Request& req : q) {
             if (req.llmBatchId >= 0 &&
-                (minId < 0 || req.llmBatchId < minId))
-                minId = req.llmBatchId;
-        }
-        if (minId >= 0) {
-            for (std::size_t i = 0; i < q.size(); ++i) {
-                if (q[i].llmBatchId == minId)
-                    boarders.push_back(i);
-            }
-            return boarders;
+                (plan.lockedId < 0 || req.llmBatchId < plan.lockedId))
+                plan.lockedId = req.llmBatchId;
         }
     }
-    const std::size_t count =
-        std::min(q.size(), static_cast<std::size_t>(cap));
-    for (std::size_t i = 0; i < count; ++i)
-        boarders.push_back(i);
-    return boarders;
+    // Price the KV footprint at the max rider context rounded up to
+    // the bucket, and advance by the largest step count that (a) no
+    // unfinished rider overshoots its output length, (b) no rider's
+    // context outgrows the priced bucket, (c) stays within the
+    // profile's per-round cap.
+    std::int64_t maxCtx = 1;
+    int minRemaining = sm.llm.maxDecodeSteps;
+    auto board = [&](const Request& req) {
+        ++plan.count;
+        maxCtx = std::max(maxCtx, req.contextTokens());
+        const int remaining = req.outputTokens - req.generatedTokens;
+        if (remaining > 0)
+            minRemaining = std::min(minRemaining, remaining);
+    };
+    if (plan.lockedId >= 0) {
+        for (const Request& req : q) {
+            if (req.llmBatchId == plan.lockedId)
+                board(req);
+        }
+    } else {
+        const std::size_t prefix = std::min(
+            q.size(), static_cast<std::size_t>(sm.model.batch));
+        for (std::size_t i = 0; i < prefix; ++i)
+            board(q[i]);
+    }
+    plan.ctxBucket = llmLengthBucket(maxCtx, sm.llm.contextBucket);
+    const std::int64_t toBucketEdge = plan.ctxBucket - maxCtx + 1;
+    plan.steps = static_cast<int>(std::min<std::int64_t>(
+        std::min(minRemaining, sm.llm.maxDecodeSteps), toBucketEdge));
+    plan.steps = std::max(plan.steps, 1);
+    plan.batch = decodeRoundBatch(static_cast<int>(plan.count),
+                                  sm.model.batch,
+                                  options_.quantizeBatches);
+    return plan;
 }
 
-Scenario
+const DecodeMix&
+AdmissionController::decodeMix(std::size_t model, std::int64_t ctxBucket,
+                               int batch) const
+{
+    auto [it, fresh] = decodeMemo_.try_emplace({model, ctxBucket});
+    DecodeStepMemo& memo = it->second;
+    if (fresh) {
+        const ServedModel& sm = catalog_[model];
+        TransformerConfig cfg = sm.llm.decoder;
+        cfg.name = sm.model.name;
+        memo.step = buildDecodeStepModel(cfg, ctxBucket);
+    }
+    auto [mixIt, freshMix] = memo.byBatch.try_emplace(batch);
+    DecodeMix& entry = mixIt->second;
+    if (freshMix) {
+        entry.model = static_cast<int>(model);
+        entry.ctxBucket = ctxBucket;
+        entry.batch = batch;
+        entry.mix.name = "mix";
+        entry.mix.models.push_back(memo.step);
+        entry.mix.models.back().batch = batch;
+        entry.signature = entry.mix.signature();
+    }
+    return entry;
+}
+
+const DecodeMix&
 AdmissionController::peekDecodeMix(int model) const
 {
     SCAR_REQUIRE(decodeQueuedCount(model) > 0,
                  "admission: peekDecodeMix on empty decode queue");
     const std::size_t m = static_cast<std::size_t>(model);
-    const ServedModel& sm = catalog_[m];
-    const std::vector<std::size_t> boarders = decodeBoarders(m);
-    const DecodeRound round =
-        planDecodeRound(sm, decodeQueues_[m], boarders);
-    TransformerConfig cfg = sm.llm.decoder;
-    cfg.name = sm.model.name;
-    Model scheduled = buildDecodeStepModel(cfg, round.ctxBucket);
-    scheduled.batch =
-        decodeRoundBatch(static_cast<int>(boarders.size()),
-                         sm.model.batch, options_.quantizeBatches);
-    Scenario mix;
-    mix.name = "mix";
-    mix.models.push_back(std::move(scheduled));
-    return mix;
+    const DecodePlan plan = planDecode(m);
+    return decodeMix(m, plan.ctxBucket, plan.batch);
 }
 
 Dispatch
@@ -444,48 +443,47 @@ AdmissionController::formDecodeDispatch(int model)
                  "admission: formDecodeDispatch on empty decode "
                  "queue");
     const std::size_t m = static_cast<std::size_t>(model);
-    const ServedModel& sm = catalog_[m];
     auto& q = decodeQueues_[m];
-    const std::vector<std::size_t> boarders = decodeBoarders(m);
-    const DecodeRound round = planDecodeRound(sm, q, boarders);
+    const DecodePlan plan = planDecode(m);
+    const bool lockstep =
+        options_.llmBatching == LlmBatchingMode::Static;
 
     BatchGroup group;
     group.catalogIdx = model;
-    group.batch =
-        decodeRoundBatch(static_cast<int>(boarders.size()),
-                         sm.model.batch, options_.quantizeBatches);
-    std::vector<bool> boarded(q.size(), false);
-    for (const std::size_t i : boarders) {
-        boarded[i] = true;
-        Request req = q[i];
-        if (options_.llmBatching == LlmBatchingMode::Static &&
-            req.llmBatchId < 0)
+    group.batch = plan.batch;
+    group.requests.reserve(plan.count);
+    auto board = [&](Request req) {
+        if (lockstep && req.llmBatchId < 0)
             req.llmBatchId = nextLlmBatchId_;
         // Finished lockstep padding rides without advancing.
         req.ridingDecodeSteps =
-            req.generatedTokens >= req.outputTokens ? 0 : round.steps;
+            req.generatedTokens >= req.outputTokens ? 0 : plan.steps;
         group.requests.push_back(std::move(req));
+    };
+    if (plan.lockedId < 0) {
+        for (std::size_t i = 0; i < plan.count; ++i) {
+            board(std::move(q.front()));
+            q.pop_front();
+        }
+    } else {
+        std::deque<Request> remaining;
+        for (Request& req : q) {
+            if (req.llmBatchId == plan.lockedId)
+                board(std::move(req));
+            else
+                remaining.push_back(std::move(req));
+        }
+        q = std::move(remaining);
     }
-    if (options_.llmBatching == LlmBatchingMode::Static)
+    if (lockstep)
         ++nextLlmBatchId_;
-    std::deque<Request> remaining;
-    for (std::size_t i = 0; i < q.size(); ++i) {
-        if (!boarded[i])
-            remaining.push_back(q[i]);
-    }
-    q = std::move(remaining);
-
-    TransformerConfig cfg = sm.llm.decoder;
-    cfg.name = sm.model.name;
-    Model scheduled = buildDecodeStepModel(cfg, round.ctxBucket);
-    scheduled.batch = group.batch;
 
     Dispatch dispatch;
-    dispatch.mix.name = "mix";
-    dispatch.mix.models.push_back(std::move(scheduled));
+    dispatch.mix = decodeMix(m, plan.ctxBucket, plan.batch).mix;
     dispatch.catalogIdx.push_back(model);
     dispatch.groups.push_back(std::move(group));
-    dispatch.llmDecodeSteps = round.steps;
+    dispatch.llmDecodeSteps = plan.steps;
+    dispatch.llmCtxBucket = plan.ctxBucket;
     return dispatch;
 }
 

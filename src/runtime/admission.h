@@ -37,6 +37,9 @@
 
 #include <cstdint>
 #include <deque>
+#include <map>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "runtime/request.h"
@@ -132,12 +135,29 @@ struct Dispatch
     std::vector<BatchGroup> groups; ///< aligned with mix.models
     /**
      * Decode steps this dispatch advances each rider by (0 = not a
-     * decode round). A decode round replays the one-step schedule
-     * this many times (schedule_cache.h repeatSchedule), so the
-     * schedule-cache key — the one-step mix signature — is shared by
-     * every round of the same (context bucket, batch).
+     * decode round). The executor replays the cached one-step
+     * schedule this many times by window index (ReplayExecutor), so
+     * the schedule-cache key — the one-step mix signature — is shared
+     * by every round of the same (context bucket, batch).
      */
     int llmDecodeSteps = 0;
+    /** Context bucket a decode round is priced at (0 = not one). */
+    std::int64_t llmCtxBucket = 0;
+};
+
+/**
+ * The one-model mix of a decode round, memoized per run by
+ * AdmissionController for each (catalog model, context bucket,
+ * batch). The signature is a pure function of those keys, so it is
+ * computed once here and the fleet routes on the stored string.
+ */
+struct DecodeMix
+{
+    int model = -1;             ///< catalog index
+    std::int64_t ctxBucket = 0; ///< priced context bucket
+    int batch = 0;              ///< quantized round batch
+    Scenario mix;               ///< the one-step mix at that batch
+    std::string signature;      ///< mix.signature()
 };
 
 /** Per-model queues plus the dispatch-forming policy. */
@@ -235,9 +255,11 @@ class AdmissionController
     /**
      * The single-model mix formDecodeDispatch would build for this
      * model right now: the one-step decode variant at the boarders'
-     * context bucket and quantized batch. Requires waiters.
+     * context bucket and quantized batch. The returned entry lives in
+     * the controller's memo and stays valid for its lifetime.
+     * Requires waiters.
      */
-    Scenario peekDecodeMix(int model) const;
+    const DecodeMix& peekDecodeMix(int model) const;
 
     /**
      * Forms a decode round for one model, consuming the boarding
@@ -246,7 +268,8 @@ class AdmissionController
      * oldest locked batch if one is waiting, else locks a fresh one.
      * Each boarded request is stamped with ridingDecodeSteps = the
      * round's step count (0 for finished lockstep padding); the
-     * dispatch carries llmDecodeSteps > 0.
+     * dispatch carries llmDecodeSteps > 0 and the llmCtxBucket its
+     * mix (the memoized peekDecodeMix entry) was priced at.
      */
     Dispatch formDecodeDispatch(int model);
 
@@ -255,9 +278,32 @@ class AdmissionController
     const AdmissionOptions& options() const { return options_; }
 
   private:
+    /**
+     * The next decode round of one model. Its boarders are every
+     * member of Static locked batch `lockedId`, or (lockedId < 0) the
+     * queue prefix [0, count).
+     */
+    struct DecodePlan
+    {
+        std::int64_t lockedId = -1;
+        std::size_t count = 0;      ///< boarders
+        std::int64_t ctxBucket = 0; ///< priced context bucket
+        int steps = 1;              ///< decode steps advanced
+        int batch = 0;              ///< quantized round batch
+    };
+    /** The (model, context bucket) half of the decode-mix memo. */
+    struct DecodeStepMemo
+    {
+        Model step;                       ///< built once per key
+        std::map<int, DecodeMix> byBatch; ///< one mix per round batch
+    };
+
     int dispatchBatch(std::size_t model) const;
-    /** Queue positions boarding the next decode round of `model`. */
-    std::vector<std::size_t> decodeBoarders(std::size_t model) const;
+    /** Plans the next decode round of `model` (requires waiters). */
+    DecodePlan planDecode(std::size_t model) const;
+    /** The memoized mix for (model, ctxBucket, batch). */
+    const DecodeMix& decodeMix(std::size_t model,
+                               std::int64_t ctxBucket, int batch) const;
     /**
      * The scheduled model for queue `m`: the catalog model, or for
      * autoregressive entries the prefill variant at the queue's max
@@ -281,6 +327,16 @@ class AdmissionController
     std::vector<std::deque<Request>> decodeQueues_;
     /** Next Static-mode locked-batch id (monotone, deterministic). */
     std::int64_t nextLlmBatchId_ = 0;
+    /**
+     * Decode-step mixes keyed by (catalog index, context bucket):
+     * buildDecodeStepModel runs once per key, and each round batch's
+     * mix and signature once per key and batch. std::map nodes never
+     * move, so peekDecodeMix can hand out references. Mutable because
+     * peeking fills it; admission is single-threaded, so no lock.
+     */
+    mutable std::map<std::pair<std::size_t, std::int64_t>,
+                     DecodeStepMemo>
+        decodeMemo_;
 };
 
 } // namespace runtime

@@ -1,5 +1,6 @@
 #include "runtime/executor.h"
 
+#include <algorithm>
 #include <limits>
 
 #include "common/error.h"
@@ -8,6 +9,33 @@ namespace scar
 {
 namespace runtime
 {
+
+void
+ReplayExecutor::load(std::shared_ptr<const CachedSchedule> schedule,
+                     Dispatch dispatch, std::size_t window,
+                     double startSec)
+{
+    busy_ = true;
+    schedule_ = std::move(schedule);
+    dispatch_ = std::move(dispatch);
+    windows_ = schedule_->windowSec.size() *
+               static_cast<std::size_t>(
+                   std::max(1, dispatch_.llmDecodeSteps));
+    SCAR_REQUIRE(window < windows_,
+                 "executor: replay cursor past the last window");
+    window_ = window;
+    windowEndSec_ = startSec + windowSec(window_);
+    // Replicate advance()'s rounding sequence exactly: the final
+    // boundary must equal the windowEndSec_ the last advance() will
+    // report, bit for bit. The makespan is the same durations summed
+    // from zero, in the same order.
+    finalBoundarySec_ = windowEndSec_;
+    makespanSec_ = windowSec(window_);
+    for (std::size_t w = window_ + 1; w < windows_; ++w) {
+        finalBoundarySec_ += windowSec(w);
+        makespanSec_ += windowSec(w);
+    }
+}
 
 void
 ReplayExecutor::start(std::shared_ptr<const CachedSchedule> schedule,
@@ -20,17 +48,7 @@ ReplayExecutor::start(std::shared_ptr<const CachedSchedule> schedule,
                  "executor: schedule/dispatch mix arity mismatch");
     SCAR_REQUIRE(!schedule->windowSec.empty(),
                  "executor: schedule has no windows");
-    busy_ = true;
-    schedule_ = std::move(schedule);
-    dispatch_ = std::move(dispatch);
-    window_ = 0;
-    windowEndSec_ = startSec + schedule_->windowSec.front();
-    // Replicate advance()'s rounding sequence exactly: the final
-    // boundary must equal the windowEndSec_ the last advance() will
-    // report, bit for bit.
-    finalBoundarySec_ = windowEndSec_;
-    for (std::size_t w = 1; w < schedule_->windowSec.size(); ++w)
-        finalBoundarySec_ += schedule_->windowSec[w];
+    load(std::move(schedule), std::move(dispatch), 0, startSec);
     ++dispatches_;
     for (BatchGroup& group : dispatch_.groups) {
         for (Request& req : group.requests) {
@@ -75,7 +93,7 @@ ReplayExecutor::advance()
     // A dispatch group's model index within the mix equals its
     // position: formDispatch builds mix.models and groups in lockstep.
     for (std::size_t m = 0; m < dispatch_.groups.size(); ++m) {
-        if (schedule_->lastWindow[m] != static_cast<int>(window_))
+        if (lastWindow(m) != static_cast<int>(window_))
             continue;
         for (Request req : dispatch_.groups[m].requests) {
             req.completionSec = windowEndSec_;
@@ -84,12 +102,12 @@ ReplayExecutor::advance()
     }
 
     ++window_;
-    if (window_ == schedule_->windowSec.size()) {
+    if (window_ == windows_) {
         tick.dispatchDone = true;
         busy_ = false;
         schedule_.reset();
     } else {
-        windowEndSec_ += schedule_->windowSec[window_];
+        windowEndSec_ += windowSec(window_);
     }
     return tick;
 }
@@ -99,7 +117,7 @@ ReplayExecutor::boundaryInstantSec(std::size_t j) const
 {
     double t = windowEndSec_;
     for (std::size_t w = window_ + 1; w <= j; ++w)
-        t += schedule_->windowSec[w];
+        t += windowSec(w);
     return t;
 }
 
@@ -110,15 +128,14 @@ ReplayExecutor::nextStepBoundarySec(int windowsPerStep) const
     SCAR_REQUIRE(windowsPerStep > 0,
                  "executor: non-positive step grid");
     const std::size_t step = static_cast<std::size_t>(windowsPerStep);
-    const std::size_t n = schedule_->windowSec.size();
     double t = windowEndSec_;
     // Walk boundary instants forward on advance()'s accumulated
-    // clock; the final boundary (w == n - 1) is dispatchDone, not a
-    // cut point, so the loop excludes it.
-    for (std::size_t w = window_; w + 1 < n; ++w) {
+    // clock; the final boundary (w == windows_ - 1) is dispatchDone,
+    // not a cut point, so the loop excludes it.
+    for (std::size_t w = window_; w + 1 < windows_; ++w) {
         if ((w + 1) % step == 0)
             return t;
-        t += schedule_->windowSec[w + 1];
+        t += windowSec(w + 1);
     }
     return std::numeric_limits<double>::infinity();
 }
@@ -127,7 +144,7 @@ std::size_t
 ReplayExecutor::windowsRemaining() const
 {
     SCAR_REQUIRE(busy_, "executor: windowsRemaining while idle");
-    return schedule_->windowSec.size() - window_;
+    return windows_ - window_;
 }
 
 SuspendedReplay
@@ -136,15 +153,14 @@ ReplayExecutor::suspend(bool markPreempted)
     SCAR_REQUIRE(busy_, "executor: suspend while idle");
     SuspendedReplay replay;
     replay.window = window_;
-    for (std::size_t w = window_; w < schedule_->windowSec.size(); ++w)
-        replay.remainingSec += schedule_->windowSec[w];
+    for (std::size_t w = window_; w < windows_; ++w)
+        replay.remainingSec += windowSec(w);
     // Requests whose model already completed (lastWindow < window_)
     // left through earlier ticks; everything still riding is
     // preempted.
     if (markPreempted) {
         for (std::size_t m = 0; m < dispatch_.groups.size(); ++m) {
-            if (schedule_->lastWindow[m] <
-                static_cast<int>(window_))
+            if (lastWindow(m) < static_cast<int>(window_))
                 continue;
             for (Request& req : dispatch_.groups[m].requests)
                 req.preempted = true;
@@ -164,17 +180,8 @@ ReplayExecutor::resume(SuspendedReplay replay, double startSec)
     SCAR_REQUIRE(!busy_, "executor: resume while a dispatch is running");
     SCAR_REQUIRE(replay.schedule != nullptr,
                  "executor: resume without a suspended schedule");
-    SCAR_REQUIRE(replay.window < replay.schedule->windowSec.size(),
-                 "executor: resume cursor past the last window");
-    busy_ = true;
-    schedule_ = std::move(replay.schedule);
-    dispatch_ = std::move(replay.dispatch);
-    window_ = replay.window;
-    windowEndSec_ = startSec + schedule_->windowSec[window_];
-    finalBoundarySec_ = windowEndSec_;
-    for (std::size_t w = window_ + 1; w < schedule_->windowSec.size();
-         ++w)
-        finalBoundarySec_ += schedule_->windowSec[w];
+    load(std::move(replay.schedule), std::move(replay.dispatch),
+         replay.window, startSec);
 }
 
 } // namespace runtime

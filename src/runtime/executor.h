@@ -23,6 +23,15 @@
  * resume on the virtual clock; the executor itself only moves the
  * cursor. A suspended replay keeps its own shared_ptr to the cached
  * schedule, so LRU eviction while it waits cannot invalidate it.
+ *
+ * Decode rounds: a dispatch with llmDecodeSteps = n > 1 replays the
+ * cached one-step schedule n times by window index — replay window i
+ * lasts windowSec[i % perStep], and every model's last window is the
+ * round's final one, perStep * n - 1 (riders complete, or rejoin the
+ * decode queue, together at the round's end). Nothing is copied: the
+ * cache keeps only the one-step entry, and every index-derived
+ * instant is accumulated window by window in replay order, so it
+ * equals the matching tick's timeSec bit for bit.
  */
 
 #ifndef SCAR_RUNTIME_EXECUTOR_H
@@ -65,8 +74,8 @@ struct SuspendedReplay
 {
     std::shared_ptr<const CachedSchedule> schedule;
     Dispatch dispatch;
-    std::size_t window = 0;     ///< next window to replay on resume
-    double remainingSec = 0.0;  ///< sum of windowSec[window..end]
+    std::size_t window = 0;     ///< next replay window on resume
+    double remainingSec = 0.0;  ///< summed durations of the rest
 };
 
 /** Replays cached schedules for one dispatch at a time. */
@@ -85,6 +94,15 @@ class ReplayExecutor
      */
     void start(std::shared_ptr<const CachedSchedule> schedule,
                Dispatch dispatch, double startSec);
+
+    /**
+     * Back-to-back duration of the replay loaded by the last start()
+     * (for a resume(), of its remaining windows): the window
+     * durations summed from zero in replay order — for a decode
+     * round, the one-step windows repeated llmDecodeSteps times.
+     * Kept after the replay ends.
+     */
+    double makespanSec() const { return makespanSec_; }
 
     /**
      * Absolute time of the next window boundary. Requires busy().
@@ -142,7 +160,7 @@ class ReplayExecutor
         // window index is also the earliest ending instant.
         int firstEnd = std::numeric_limits<int>::max();
         for (std::size_t m = 0; m < dispatch_.groups.size(); ++m) {
-            const int last = schedule_->lastWindow[m];
+            const int last = lastWindow(m);
             if (last >= static_cast<int>(window_) && last < firstEnd &&
                 pred(m))
                 firstEnd = last;
@@ -195,6 +213,31 @@ class ReplayExecutor
 
   private:
     /**
+     * Takes over a schedule and dispatch with the cursor at `window`,
+     * whose boundary lands at startSec + its duration (start() and
+     * resume()).
+     */
+    void load(std::shared_ptr<const CachedSchedule> schedule,
+              Dispatch dispatch, std::size_t window, double startSec);
+
+    /** Duration of replay window w (one-step windows repeat). */
+    double windowSec(std::size_t w) const
+    {
+        return schedule_->windowSec[w % schedule_->windowSec.size()];
+    }
+
+    /**
+     * Replay window in which mix model m completes: the schedule's
+     * own, or for a multi-step decode round the final window.
+     */
+    int lastWindow(std::size_t m) const
+    {
+        return dispatch_.llmDecodeSteps > 1
+                   ? static_cast<int>(windows_) - 1
+                   : schedule_->lastWindow[m];
+    }
+
+    /**
      * Exact boundary instant of window j >= window_: windowEndSec_
      * plus the durations of windows (window_, j], accumulated left to
      * right — the same rounding sequence advance() applies, so the
@@ -205,9 +248,11 @@ class ReplayExecutor
     bool busy_ = false;
     std::shared_ptr<const CachedSchedule> schedule_;
     Dispatch dispatch_;
+    std::size_t windows_ = 0;  ///< replay windows in the dispatch
     std::size_t window_ = 0;   ///< next boundary to cross
     double windowEndSec_ = 0.0; ///< absolute end of that window
     double finalBoundarySec_ = 0.0; ///< accumulated last-window end
+    double makespanSec_ = 0.0; ///< summed durations from the load cursor
     long dispatches_ = 0;
 };
 

@@ -881,19 +881,15 @@ FleetSimulator::startDueParked(RunState& st)
                             ? std::move(shard.pendingSchedule)
                             : cache_.join(shard.pendingKey);
         // A decode round replays the cached *one-step* schedule
-        // llmDecodeSteps times; the cache key stays the one-step
-        // signature so every round of the same (context bucket,
-        // batch) shares one cached solve. llmWindowsPerStep marks the
-        // step-aligned boundaries for the join cut.
-        if (shard.pending.llmDecodeSteps > 0) {
-            shard.llmWindowsPerStep =
-                static_cast<int>(schedule->windowSec.size());
-            if (shard.pending.llmDecodeSteps > 1)
-                schedule = repeatSchedule(schedule,
-                                          shard.pending.llmDecodeSteps);
-        } else {
-            shard.llmWindowsPerStep = 1;
-        }
+        // llmDecodeSteps times by window index (ReplayExecutor); the
+        // cache key stays the one-step signature so every round of
+        // the same (context bucket, batch) shares one cached solve.
+        // llmWindowsPerStep marks the step-aligned boundaries for the
+        // join cut.
+        shard.llmWindowsPerStep =
+            shard.pending.llmDecodeSteps > 0
+                ? static_cast<int>(schedule->windowSec.size())
+                : 1;
         double startSec = st.nowSec;
         if (!shard.lastKey.empty() &&
             shard.lastKey != shard.pendingKey &&
@@ -913,12 +909,12 @@ FleetSimulator::startDueParked(RunState& st)
                         static_cast<std::uint64_t>(req.id),
                         "dispatch", "request", startSec);
         }
-        shard.busySec += schedule->makespanSec;
-        shard.busyUntilSec = startSec + schedule->makespanSec;
-        shard.traceWindowStartSec = startSec;
-        shard.lastKey = shard.pendingKey;
         shard.executor.start(std::move(schedule),
                              std::move(shard.pending), startSec);
+        shard.busySec += shard.executor.makespanSec();
+        shard.busyUntilSec = startSec + shard.executor.makespanSec();
+        shard.traceWindowStartSec = startSec;
+        shard.lastKey = shard.pendingKey;
         shard.hasPending = false;
         shard.pendingKey.clear();
         shard.pendingSchedule.reset();
@@ -962,16 +958,21 @@ FleetSimulator::formDecodeRound(RunState& st)
     }
     if (decodeModel < 0)
         return false;
-    const Scenario peeked = st.admission.peekDecodeMix(decodeModel);
-    const std::string sig = peeked.signature();
-    const int target = routeDispatch(sig, peeked, st.nowSec,
-                                     /*allowDefer=*/false,
+    // The peeked mix and its signature are memoized per (model,
+    // context bucket, batch), so routing a round rebuilds nothing.
+    const DecodeMix& peeked = st.admission.peekDecodeMix(decodeModel);
+    const int target = routeDispatch(peeked.signature, peeked.mix,
+                                     st.nowSec, /*allowDefer=*/false,
                                      /*urgent=*/false);
     SCAR_ASSERT(target >= 0, "fleet: decode round found no shard with "
                              "free shards available");
     ++st.queueEpoch;
     Dispatch dispatch = st.admission.formDecodeDispatch(decodeModel);
-    SCAR_ASSERT(dispatch.mix.signature() == sig,
+    // The signature is a pure function of the memo keys, so matching
+    // keys prove the formed mix is the routed one.
+    SCAR_ASSERT(dispatch.catalogIdx.front() == peeked.model &&
+                    dispatch.llmCtxBucket == peeked.ctxBucket &&
+                    dispatch.groups.front().batch == peeked.batch,
                 "fleet: decode dispatch mix diverged from the routed "
                 "peek");
     // Decode rounds do not add padded slots: occupancy stays a
@@ -982,7 +983,7 @@ FleetSimulator::formDecodeRound(RunState& st)
     ++llmDecodeRounds_;
     llmBoardedSum_ +=
         static_cast<long>(dispatch.groups.front().requests.size());
-    parkDispatch(st, target, std::move(dispatch), sig,
+    parkDispatch(st, target, std::move(dispatch), peeked.signature,
                  "dispatches.decode");
     return true;
 }

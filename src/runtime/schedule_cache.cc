@@ -50,33 +50,5 @@ makeCachedSchedule(const Scenario& mix, const ComputeFn& compute)
     return entry;
 }
 
-std::shared_ptr<const CachedSchedule>
-repeatSchedule(const std::shared_ptr<const CachedSchedule>& step,
-               int times)
-{
-    SCAR_REQUIRE(step != nullptr, "repeatSchedule: null step schedule");
-    SCAR_REQUIRE(times >= 1, "repeatSchedule: times must be >= 1");
-    if (times == 1)
-        return step;
-    auto entry = std::make_shared<CachedSchedule>();
-    entry->mix = step->mix;
-    entry->result = step->result;
-    const std::size_t perStep = step->windowSec.size();
-    entry->windowSec.reserve(perStep * static_cast<std::size_t>(times));
-    // Sequential summation, matching both buildReplayView and the
-    // executor's boundary walk bit-for-bit.
-    entry->makespanSec = 0.0;
-    for (int t = 0; t < times; ++t) {
-        for (const double sec : step->windowSec) {
-            entry->windowSec.push_back(sec);
-            entry->makespanSec += sec;
-        }
-    }
-    entry->lastWindow.assign(
-        step->lastWindow.size(),
-        static_cast<int>(perStep) * times - 1);
-    return entry;
-}
-
 } // namespace runtime
 } // namespace scar

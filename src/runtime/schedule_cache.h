@@ -19,7 +19,10 @@
  * Each entry precomputes its replay view: per-window durations in
  * seconds and, per model, the index of the last window holding its
  * layers (a model's requests complete when that window's end boundary
- * is crossed).
+ * is crossed). An autoregressive decode round is cached as its
+ * one-step mix only; the executor replays that entry llmDecodeSteps
+ * times by window index (runtime/executor.h), so every round of the
+ * same context bucket and batch shares one entry and none is copied.
  */
 
 #ifndef SCAR_RUNTIME_SCHEDULE_CACHE_H
@@ -81,19 +84,6 @@ makeCachedSchedule(const Scenario& mix, const ComputeFn& compute);
 
 /** Builds the replay view of a schedule (exposed for testing). */
 void buildReplayView(CachedSchedule& entry);
-
-/**
- * Tiles a one-step schedule `times` back to back: the replay view of
- * an autoregressive decode round that advances every rider by `times`
- * tokens. The cache keeps only the one-step entry (so every round of
- * the same context bucket and batch shares one solved schedule); the
- * fleet wraps it per dispatch. Every model's lastWindow moves to the
- * final tiled window — decode riders complete, or rejoin the decode
- * queue, together at the round's end.
- */
-std::shared_ptr<const CachedSchedule>
-repeatSchedule(const std::shared_ptr<const CachedSchedule>& step,
-               int times);
 
 } // namespace runtime
 } // namespace scar

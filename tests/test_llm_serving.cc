@@ -2,7 +2,8 @@
  * @file
  * Tests for autoregressive (LLM) serving: the prefill/decode workload
  * builders and their KV-cache footprint, the admission decode queue
- * (boarding, buckets, round planning), one-step schedule tiling,
+ * (boarding, buckets, round planning, the decode-step mix memo),
+ * index replay of one-step schedules against the old tiling,
  * continuous-batching joins and per-sequence retirement at the fleet
  * level, the byte-identical disabled path, determinism across worker
  * pools, and the speculative partial-dispatch admission flag.
@@ -114,16 +115,102 @@ TEST(TransformerBuilder, DecodeStepKvFootprintGrowsWithContext)
         << "KV bytes must scale linearly in context length";
 }
 
-TEST(ScheduleCache, RepeatScheduleTilesWindows)
+/**
+ * The decode-round tiling that index replay replaced, kept as the
+ * reference the executor must match: `times` copies of the one-step
+ * windows back to back, the makespan summed sequentially, and every
+ * model completing at the final tiled window.
+ */
+std::shared_ptr<const CachedSchedule>
+tiledReference(const std::shared_ptr<const CachedSchedule>& step,
+               int times)
+{
+    if (times == 1)
+        return step;
+    auto entry = std::make_shared<CachedSchedule>();
+    entry->mix = step->mix;
+    entry->result = step->result;
+    const std::size_t perStep = step->windowSec.size();
+    entry->windowSec.reserve(perStep * static_cast<std::size_t>(times));
+    entry->makespanSec = 0.0;
+    for (int t = 0; t < times; ++t) {
+        for (const double sec : step->windowSec) {
+            entry->windowSec.push_back(sec);
+            entry->makespanSec += sec;
+        }
+    }
+    entry->lastWindow.assign(step->lastWindow.size(),
+                             static_cast<int>(perStep) * times - 1);
+    return entry;
+}
+
+/** A two-rider round over `mix` advancing `steps` (0 = plain replay). */
+Dispatch
+decodeRound(const Scenario& mix, int steps)
+{
+    Dispatch dispatch;
+    dispatch.mix = mix;
+    dispatch.catalogIdx = {0};
+    BatchGroup group;
+    group.catalogIdx = 0;
+    group.batch = mix.models[0].batch;
+    group.requests = {decodeWaiter(0, 10, 40), decodeWaiter(1, 20, 40)};
+    for (Request& req : group.requests)
+        req.ridingDecodeSteps = steps;
+    dispatch.groups = {group};
+    dispatch.llmDecodeSteps = steps;
+    return dispatch;
+}
+
+/**
+ * Crosses boundaries on both executors until `reference` has
+ * `stopAt` windows left, checking every probe and tick for exact
+ * (==, not ulp-tolerant) equality.
+ */
+void
+expectSameReplay(ReplayExecutor& indexed, ReplayExecutor& reference,
+                 std::size_t stopAt)
+{
+    while (reference.busy() && reference.windowsRemaining() > stopAt) {
+        ASSERT_TRUE(indexed.busy());
+        EXPECT_EQ(indexed.windowsRemaining(),
+                  reference.windowsRemaining());
+        EXPECT_EQ(indexed.nextBoundarySec(), reference.nextBoundarySec());
+        EXPECT_EQ(indexed.finalBoundarySec(),
+                  reference.finalBoundarySec());
+        EXPECT_EQ(indexed.nextStepBoundarySec(2),
+                  reference.nextStepBoundarySec(2));
+        const WindowTick a = indexed.advance();
+        const WindowTick b = reference.advance();
+        EXPECT_EQ(a.timeSec, b.timeSec);
+        EXPECT_EQ(a.windowIdx, b.windowIdx);
+        EXPECT_EQ(a.dispatchDone, b.dispatchDone);
+        ASSERT_EQ(a.completed.size(), b.completed.size());
+        for (std::size_t i = 0; i < a.completed.size(); ++i) {
+            EXPECT_EQ(a.completed[i].id, b.completed[i].id);
+            EXPECT_EQ(a.completed[i].completionSec,
+                      b.completed[i].completionSec);
+            EXPECT_EQ(a.completed[i].preempted,
+                      b.completed[i].preempted);
+        }
+    }
+    EXPECT_EQ(indexed.busy(), reference.busy());
+}
+
+TEST(Executor, DecodeIndexReplayMatchesTiledSchedule)
 {
     Scenario mix;
     mix.name = "mix";
     mix.models = {buildDecodeStepModel(tinyDecoder(), 256)};
+    // Two one-step windows of 777 and 101 cycles: over 7 steps their
+    // sequential sum differs from 7 * the step makespan and from
+    // summing each window's repeats first (asserted below), so a
+    // replay that sums in any other order fails the makespan checks.
     const auto step = makeCachedSchedule(mix, [](const Scenario& m) {
         ScheduleResult result;
-        for (int w = 0; w < 2; ++w) {
+        for (const double cycles : {777.0, 101.0}) {
             ScheduledWindow sw;
-            sw.cost.latencyCycles = 500.0;
+            sw.cost.latencyCycles = cycles;
             ModelPlacement mp;
             mp.modelIdx = 0;
             mp.segments.push_back(
@@ -133,15 +220,134 @@ TEST(ScheduleCache, RepeatScheduleTilesWindows)
         }
         return result;
     });
-    EXPECT_EQ(repeatSchedule(step, 1), step);
-    const auto tiled = repeatSchedule(step, 3);
-    ASSERT_EQ(tiled->windowSec.size(), 6u);
-    for (const double sec : tiled->windowSec)
-        EXPECT_DOUBLE_EQ(sec, step->windowSec[0]);
-    EXPECT_DOUBLE_EQ(tiled->makespanSec, 3.0 * step->makespanSec);
-    // Riders complete only at the very last tiled boundary.
-    ASSERT_EQ(tiled->lastWindow.size(), 1u);
-    EXPECT_EQ(tiled->lastWindow[0], 5);
+    ASSERT_EQ(step->windowSec.size(), 2u);
+
+    for (const int steps : {1, 2, 7}) {
+        SCOPED_TRACE(steps);
+        const auto tiled = tiledReference(step, steps);
+        ReplayExecutor indexed;
+        ReplayExecutor reference;
+        indexed.start(step, decodeRound(mix, steps), 0.25);
+        reference.start(tiled, decodeRound(mix, 0), 0.25);
+        EXPECT_EQ(indexed.makespanSec(), tiled->makespanSec);
+        EXPECT_EQ(reference.makespanSec(), tiled->makespanSec);
+        EXPECT_EQ(indexed.finalBoundarySec(),
+                  reference.finalBoundarySec());
+        expectSameReplay(indexed, reference, 0);
+    }
+
+    double perStepSum = 0.0;
+    double perWindowSum = 0.0;
+    for (int t = 0; t < 7; ++t)
+        perStepSum += step->makespanSec;
+    for (const double sec : step->windowSec)
+        for (int t = 0; t < 7; ++t)
+            perWindowSum += sec;
+    EXPECT_NE(tiledReference(step, 7)->makespanSec, perStepSum);
+    EXPECT_NE(tiledReference(step, 7)->makespanSec, perWindowSum);
+
+    // Suspend mid-round (after 5 of 14 windows, inside step 3) and
+    // resume elsewhere: the cursor, the remaining duration and every
+    // later tick still match the tiled replay.
+    const auto tiled = tiledReference(step, 7);
+    ReplayExecutor indexed;
+    ReplayExecutor reference;
+    indexed.start(step, decodeRound(mix, 7), 0.25);
+    reference.start(tiled, decodeRound(mix, 0), 0.25);
+    expectSameReplay(indexed, reference, 14 - 5);
+    SuspendedReplay a = indexed.suspend();
+    SuspendedReplay b = reference.suspend();
+    EXPECT_EQ(a.window, 5u);
+    EXPECT_EQ(a.window, b.window);
+    EXPECT_EQ(a.remainingSec, b.remainingSec);
+    indexed.resume(std::move(a), 3.5);
+    reference.resume(std::move(b), 3.5);
+    EXPECT_EQ(indexed.makespanSec(), reference.makespanSec());
+    expectSameReplay(indexed, reference, 0);
+}
+
+/** Exact equality of two models, layer field by layer field. */
+void
+expectSameModel(const Model& a, const Model& b)
+{
+    EXPECT_EQ(a.name, b.name);
+    EXPECT_EQ(a.batch, b.batch);
+    ASSERT_EQ(a.layers.size(), b.layers.size());
+    for (std::size_t i = 0; i < a.layers.size(); ++i) {
+        const Layer& la = a.layers[i];
+        const Layer& lb = b.layers[i];
+        EXPECT_EQ(la.id, lb.id);
+        EXPECT_EQ(la.name, lb.name);
+        EXPECT_EQ(la.type, lb.type);
+        EXPECT_EQ(la.dims.k, lb.dims.k);
+        EXPECT_EQ(la.dims.c, lb.dims.c);
+        EXPECT_EQ(la.dims.r, lb.dims.r);
+        EXPECT_EQ(la.dims.s, lb.dims.s);
+        EXPECT_EQ(la.dims.y, lb.dims.y);
+        EXPECT_EQ(la.dims.x, lb.dims.x);
+        EXPECT_EQ(la.dims.strideY, lb.dims.strideY);
+        EXPECT_EQ(la.dims.strideX, lb.dims.strideX);
+    }
+}
+
+TEST(Admission, DecodeStepMemoMatchesFreshBuild)
+{
+    const auto catalog = llmCatalog(/*batchCap=*/4);
+    TransformerConfig cfg = catalog[0].llm.decoder;
+    cfg.name = catalog[0].model.name;
+    for (const bool quantize : {true, false}) {
+        SCOPED_TRACE(quantize);
+        AdmissionOptions options;
+        options.quantizeBatches = quantize;
+        AdmissionController admission(catalog, options);
+        std::int64_t id = 0;
+        // Two passes, so the second revisits every memo entry.
+        for (int pass = 0; pass < 2; ++pass) {
+            // Prompts 10 / 300 / 600 put the max rider context in the
+            // 256 / 512 / 768 buckets; 1-4 riders give batches 1, 2,
+            // 3 (unquantized) or 4.
+            for (const int prompt : {10, 300, 600}) {
+                for (int riders = 1; riders <= 4; ++riders) {
+                    for (int r = 0; r < riders; ++r)
+                        admission.enqueueDecode(
+                            decodeWaiter(id++, prompt, 64));
+                    const DecodeMix& peeked = admission.peekDecodeMix(0);
+                    EXPECT_EQ(peeked.model, 0);
+                    EXPECT_EQ(peeked.ctxBucket,
+                              llmLengthBucket(prompt + 1, 256));
+                    EXPECT_EQ(peeked.batch,
+                              quantize && riders == 3 ? 4 : riders);
+                    Scenario fresh;
+                    fresh.name = "mix";
+                    fresh.models = {
+                        buildDecodeStepModel(cfg, peeked.ctxBucket)};
+                    fresh.models[0].batch = peeked.batch;
+                    EXPECT_EQ(peeked.mix.name, fresh.name);
+                    ASSERT_EQ(peeked.mix.numModels(), 1);
+                    expectSameModel(peeked.mix.models[0],
+                                    fresh.models[0]);
+                    EXPECT_EQ(peeked.signature, fresh.signature());
+                    EXPECT_EQ(peeked.mix.signature(), fresh.signature());
+                    // A repeated peek is a memo hit: the same entry.
+                    EXPECT_EQ(&admission.peekDecodeMix(0), &peeked);
+
+                    // The formed round is the peeked one.
+                    const Dispatch dispatch =
+                        admission.formDecodeDispatch(0);
+                    EXPECT_EQ(dispatch.catalogIdx.front(), peeked.model);
+                    EXPECT_EQ(dispatch.llmCtxBucket, peeked.ctxBucket);
+                    EXPECT_EQ(dispatch.groups.front().batch,
+                              peeked.batch);
+                    ASSERT_EQ(dispatch.mix.numModels(), 1);
+                    expectSameModel(dispatch.mix.models[0],
+                                    peeked.mix.models[0]);
+                    EXPECT_EQ(dispatch.mix.signature(),
+                              peeked.signature);
+                    EXPECT_EQ(admission.decodeQueuedCount(0), 0);
+                }
+            }
+        }
+    }
 }
 
 TEST(Admission, DecodeQueueBoardsAndPlansRounds)
@@ -157,7 +363,7 @@ TEST(Admission, DecodeQueueBoardsAndPlansRounds)
 
     // Context bucket: max context = 30 + 1 -> 256; partial batch of 3
     // quantizes up to 4.
-    const Scenario mix = admission.peekDecodeMix(0);
+    const Scenario& mix = admission.peekDecodeMix(0).mix;
     ASSERT_EQ(mix.numModels(), 1);
     EXPECT_EQ(mix.models[0].name, "chat.decode256");
     EXPECT_EQ(mix.models[0].batch, 4);
