@@ -84,14 +84,27 @@ class FlatHashMap
     const Value*
     find(const Key& key) const
     {
+        return find(hash_(key),
+                    [&key](const Key& stored) { return stored == key; });
+    }
+
+    /**
+     * Lookup by a probe that is never built as a `Key`: `hash` must be
+     * what `Hash` returns for the matching stored key, and `matches`
+     * tells whether a stored key is that match.
+     * @return the matching value, or nullptr when absent
+     */
+    template <typename Matches>
+    const Value*
+    find(std::uint64_t hash, const Matches& matches) const
+    {
         if (buckets_.empty())
             return nullptr;
         const std::size_t mask = buckets_.size() - 1;
-        std::size_t i = static_cast<std::size_t>(hash_(key)) & mask;
-        while (occupied_[i]) {
-            if (buckets_[i].first == key)
+        for (std::size_t i = static_cast<std::size_t>(hash) & mask;
+             occupied_[i]; i = (i + 1) & mask) {
+            if (matches(buckets_[i].first))
                 return &buckets_[i].second;
-            i = (i + 1) & mask;
         }
         return nullptr;
     }

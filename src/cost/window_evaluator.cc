@@ -16,35 +16,94 @@ WindowEvaluator::WindowEvaluator(const CostDb& db, EvaluatorOptions options)
 {
 }
 
+namespace
+{
+
+/**
+ * Checks one segment range of `model` and advances `prevLast`, the
+ * last layer of the previous segment: the single source of the
+ * range messages validate(), validateSolo() and
+ * validateSegmentation() raise.
+ */
+void
+checkSegmentRange(const Model& model, const LayerRange& range,
+                  int& prevLast)
+{
+    SCAR_REQUIRE(!range.empty(), "empty segment for model ", model.name);
+    SCAR_REQUIRE(range.first == prevLast + 1,
+                 "segments must be contiguous for model ", model.name,
+                 " (got first=", range.first, " after last=", prevLast,
+                 ")");
+    SCAR_REQUIRE(range.last < model.numLayers(), "segment exceeds model ",
+                 model.name);
+    prevLast = range.last;
+}
+
+/** The placed model, after checking its index and segment count. */
+const Model&
+checkPlacedModel(const Scenario& sc, int modelIdx, std::size_t numSegs)
+{
+    SCAR_REQUIRE(modelIdx >= 0 && modelIdx < sc.numModels(),
+                 "bad model index ", modelIdx);
+    const Model& model = sc.models[modelIdx];
+    SCAR_REQUIRE(numSegs > 0, "model ", model.name,
+                 " placed with no segments");
+    return model;
+}
+
+void
+checkChipletId(int chiplet, int numChiplets)
+{
+    SCAR_REQUIRE(chiplet >= 0 && chiplet < numChiplets, "bad chiplet id ",
+                 chiplet);
+}
+
+void
+checkChipletFree(bool taken, int chiplet)
+{
+    SCAR_REQUIRE(!taken, "chiplet ", chiplet,
+                 " hosts more than one segment in this window");
+}
+
+} // namespace
+
+void
+validateSegmentation(const Scenario& sc, int modelIdx,
+                     const std::vector<LayerRange>& ranges)
+{
+    const Model& model = checkPlacedModel(sc, modelIdx, ranges.size());
+    int prevLast = ranges.front().first - 1;
+    for (const LayerRange& range : ranges)
+        checkSegmentRange(model, range, prevLast);
+}
+
+void
+validatePath(const std::vector<int>& chiplets, int numChiplets)
+{
+    // Paths are short (<= segment count), so a pairwise scan beats an
+    // O(numChiplets) occupancy vector.
+    for (std::size_t k = 0; k < chiplets.size(); ++k) {
+        checkChipletId(chiplets[k], numChiplets);
+        for (std::size_t j = 0; j < k; ++j)
+            checkChipletFree(chiplets[j] == chiplets[k], chiplets[k]);
+    }
+}
+
 void
 WindowEvaluator::validate(const WindowPlacement& placement) const
 {
     const Scenario& sc = db_.scenario();
-    std::vector<int> occupancy(db_.mcm().numChiplets(), 0);
+    const int numChiplets = db_.mcm().numChiplets();
+    std::vector<int> occupancy(numChiplets, 0);
     for (const ModelPlacement& mp : placement.models) {
-        SCAR_REQUIRE(mp.modelIdx >= 0 && mp.modelIdx < sc.numModels(),
-                     "bad model index ", mp.modelIdx);
-        const Model& model = sc.models[mp.modelIdx];
-        SCAR_REQUIRE(!mp.segments.empty(), "model ", model.name,
-                     " placed with no segments");
+        const Model& model =
+            checkPlacedModel(sc, mp.modelIdx, mp.segments.size());
         int prevLast = mp.segments.front().range.first - 1;
         for (const PlacedSegment& seg : mp.segments) {
-            SCAR_REQUIRE(!seg.range.empty(), "empty segment for model ",
-                         model.name);
-            SCAR_REQUIRE(seg.range.first == prevLast + 1,
-                         "segments must be contiguous for model ",
-                         model.name, " (got first=", seg.range.first,
-                         " after last=", prevLast, ")");
-            SCAR_REQUIRE(seg.range.last < model.numLayers(),
-                         "segment exceeds model ", model.name);
-            SCAR_REQUIRE(seg.chiplet >= 0 &&
-                             seg.chiplet < db_.mcm().numChiplets(),
-                         "bad chiplet id ", seg.chiplet);
-            SCAR_REQUIRE(occupancy[seg.chiplet] == 0,
-                         "chiplet ", seg.chiplet,
-                         " hosts more than one segment in this window");
+            checkSegmentRange(model, seg.range, prevLast);
+            checkChipletId(seg.chiplet, numChiplets);
+            checkChipletFree(occupancy[seg.chiplet] != 0, seg.chiplet);
             occupancy[seg.chiplet] = 1;
-            prevLast = seg.range.last;
         }
     }
 }
@@ -52,37 +111,22 @@ WindowEvaluator::validate(const WindowPlacement& placement) const
 void
 WindowEvaluator::validateSolo(const WindowPlacement& placement) const
 {
-    // Same contract as validate(), restricted to one model. The
-    // occupancy scratch vector (O(numChiplets) touched memory per
-    // evaluation) is replaced by a pairwise check over the model's own
-    // segments — with a single model those are the only chiplets that
-    // could collide, and segment counts are small (<= path length).
-    const Scenario& sc = db_.scenario();
+    // Same contract as validate(), restricted to one model: with a
+    // single model its own segments are the only chiplets that could
+    // collide, so validatePath's pairwise scan replaces the occupancy
+    // vector.
     const ModelPlacement& mp = placement.models.front();
-    SCAR_REQUIRE(mp.modelIdx >= 0 && mp.modelIdx < sc.numModels(),
-                 "bad model index ", mp.modelIdx);
-    const Model& model = sc.models[mp.modelIdx];
-    SCAR_REQUIRE(!mp.segments.empty(), "model ", model.name,
-                 " placed with no segments");
+    const Model& model =
+        checkPlacedModel(db_.scenario(), mp.modelIdx, mp.segments.size());
     int prevLast = mp.segments.front().range.first - 1;
+    const int numChiplets = db_.mcm().numChiplets();
     for (std::size_t k = 0; k < mp.segments.size(); ++k) {
         const PlacedSegment& seg = mp.segments[k];
-        SCAR_REQUIRE(!seg.range.empty(), "empty segment for model ",
-                     model.name);
-        SCAR_REQUIRE(seg.range.first == prevLast + 1,
-                     "segments must be contiguous for model ",
-                     model.name, " (got first=", seg.range.first,
-                     " after last=", prevLast, ")");
-        SCAR_REQUIRE(seg.range.last < model.numLayers(),
-                     "segment exceeds model ", model.name);
-        SCAR_REQUIRE(seg.chiplet >= 0 &&
-                         seg.chiplet < db_.mcm().numChiplets(),
-                     "bad chiplet id ", seg.chiplet);
+        checkSegmentRange(model, seg.range, prevLast);
+        checkChipletId(seg.chiplet, numChiplets);
         for (std::size_t j = 0; j < k; ++j)
-            SCAR_REQUIRE(mp.segments[j].chiplet != seg.chiplet,
-                         "chiplet ", seg.chiplet,
-                         " hosts more than one segment in this window");
-        prevLast = seg.range.last;
+            checkChipletFree(mp.segments[j].chiplet == seg.chiplet,
+                             seg.chiplet);
     }
 }
 
@@ -121,9 +165,8 @@ WindowEvaluator::segmentResident(int modelIdx, const PlacedSegment& seg,
 
 template <typename Factor>
 ModelWindowCost
-WindowEvaluator::evalModel(const WindowPlacement& placement,
-                           const ModelPlacement& mp, int bIdx,
-                           Factor&& factor) const
+WindowEvaluator::evalModel(const ModelPlacement& mp, int entry, int bIdx,
+                           bool keepSegments, Factor&& factor) const
 {
     const Scenario& sc = db_.scenario();
     const Mcm& mcm = db_.mcm();
@@ -134,7 +177,8 @@ WindowEvaluator::evalModel(const WindowPlacement& placement,
         static_cast<int>(std::ceil(static_cast<double>(b) / bPrime));
 
     ModelWindowCost modelCost;
-    modelCost.segments.reserve(mp.segments.size());
+    if (keepSegments)
+        modelCost.segments.reserve(mp.segments.size());
     double maxSteady = 0.0;
     for (std::size_t k = 0; k < mp.segments.size(); ++k) {
         const PlacedSegment& seg = mp.segments[k];
@@ -161,7 +205,6 @@ WindowEvaluator::evalModel(const WindowPlacement& placement,
         double ipEnergy = 0.0;
         if (k == 0) {
             const double bytes = first.inputBytes() * bPrime;
-            const int entry = entryOf(placement, mp.modelIdx);
             if (entry >= 0) {
                 ipLat = comm_.nopLatencyCycles(
                     bytes * factor(entry, c, CommPhase::Activation),
@@ -212,15 +255,15 @@ WindowEvaluator::evalModel(const WindowPlacement& placement,
                                     opEnergy) +
                            wEnergy * (resident ? 1.0 : steps);
 
+        // The pipelining formula of Section III-E:
+        // sum_k Lat(sg_k|b') + (b/b' - 1) * max_k Lat(sg_k|b'), the
+        // sum accumulated in segment order.
         maxSteady = std::max(maxSteady, segCost.steadySampleCycles);
-        modelCost.energyNj += segCost.energyNj;
-        modelCost.segments.push_back(segCost);
-    }
-
-    // The pipelining formula of Section III-E:
-    // sum_k Lat(sg_k|b') + (b/b' - 1) * max_k Lat(sg_k|b').
-    for (const SegmentCost& segCost : modelCost.segments)
         modelCost.latencyCycles += segCost.firstSampleCycles;
+        modelCost.energyNj += segCost.energyNj;
+        if (keepSegments)
+            modelCost.segments.push_back(segCost);
+    }
     modelCost.latencyCycles += (steps - 1) * maxSteady;
     return modelCost;
 }
@@ -262,7 +305,8 @@ WindowEvaluator::evaluate(const WindowPlacement& placement) const
         double bestLat = std::numeric_limits<double>::infinity();
         for (int bIdx = 0; bIdx < numCandidates; ++bIdx) {
             const double lat =
-                evalModel(placement, mp, bIdx, noContention)
+                evalModel(mp, entryOf(placement, mp.modelIdx), bIdx,
+                          false, noContention)
                     .latencyCycles;
             if (lat < bestLat) {
                 bestLat = lat;
@@ -421,14 +465,15 @@ WindowEvaluator::evaluate(const WindowPlacement& placement) const
         window.maxLinkSharers = std::max(window.maxLinkSharers, load);
 
     for (std::size_t mi = 0; mi < placement.models.size(); ++mi) {
+        const ModelPlacement& mp = placement.models[mi];
+        const int entry = entryOf(placement, mp.modelIdx);
         ModelWindowCost modelCost =
             !options_.contention
-                ? evalModel(placement, placement.models[mi],
-                            chosenBIdx[mi], noContention)
-                : (phased ? evalModel(placement, placement.models[mi],
-                                      chosenBIdx[mi], phasedFactor)
-                          : evalModel(placement, placement.models[mi],
-                                      chosenBIdx[mi],
+                ? evalModel(mp, entry, chosenBIdx[mi], true,
+                            noContention)
+                : (phased ? evalModel(mp, entry, chosenBIdx[mi], true,
+                                      phasedFactor)
+                          : evalModel(mp, entry, chosenBIdx[mi], true,
                                       contentionFactor));
         window.latencyCycles =
             std::max(window.latencyCycles, modelCost.latencyCycles);
@@ -450,10 +495,6 @@ WindowEvaluator::evaluate(const WindowPlacement& placement) const
 SoloWindowCost
 WindowEvaluator::evaluateSolo(const WindowPlacement& placement) const
 {
-    // Counts as one evaluator invocation, exactly like the evaluate()
-    // call it replaces — profiled windowEvals totals are unchanged.
-    obs::SearchCounters::bump(db_.counters(),
-                              &obs::SearchCounters::windowEvals);
     SCAR_REQUIRE(placement.models.size() == 1,
                  "evaluateSolo requires exactly one placed model, got ",
                  placement.models.size());
@@ -461,6 +502,18 @@ WindowEvaluator::evaluateSolo(const WindowPlacement& placement) const
                  "evaluateSolo requires contention and dramRoofline "
                  "disabled");
     validateSolo(placement);
+    const ModelPlacement& mp = placement.models.front();
+    return evaluateSoloUnchecked(mp, entryOf(placement, mp.modelIdx));
+}
+
+SoloWindowCost
+WindowEvaluator::evaluateSoloUnchecked(const ModelPlacement& mp,
+                                       int entry) const
+{
+    // Counts as one evaluator invocation, exactly like the evaluate()
+    // call it replaces — profiled windowEvals totals are unchanged.
+    obs::SearchCounters::bump(db_.counters(),
+                              &obs::SearchCounters::windowEvals);
 
     // evaluate() prices every mini-batch candidate contention-free in
     // its selection step, then re-prices the winner — with contention
@@ -469,7 +522,6 @@ WindowEvaluator::evaluateSolo(const WindowPlacement& placement) const
     // the selection loop IS the answer; the re-evaluation, the flow
     // enumeration, and the contention tables are skipped entirely.
     // Selection keeps the FIRST strict-< winner, matching evaluate().
-    const ModelPlacement& mp = placement.models.front();
     const int numCandidates = static_cast<int>(
         db_.miniBatchCandidates(mp.modelIdx).size());
     const NoContention noContention;
@@ -477,7 +529,7 @@ WindowEvaluator::evaluateSolo(const WindowPlacement& placement) const
     double bestLat = std::numeric_limits<double>::infinity();
     for (int bIdx = 0; bIdx < numCandidates; ++bIdx) {
         const ModelWindowCost cost =
-            evalModel(placement, mp, bIdx, noContention);
+            evalModel(mp, entry, bIdx, false, noContention);
         if (cost.latencyCycles < bestLat) {
             bestLat = cost.latencyCycles;
             // evaluate() folds the winner into WindowCost as

@@ -135,6 +135,22 @@ struct EvaluatorOptions
     CommFidelity fidelity = CommFidelity::Static;
 };
 
+/**
+ * Checks one model's segment ranges: `modelIdx` names a scenario
+ * model, and `ranges` is non-empty, each range non-empty, contiguous
+ * with the one before it and inside the model. Raises FatalError with
+ * the message WindowEvaluator::evaluate() would give otherwise.
+ */
+void validateSegmentation(const Scenario& sc, int modelIdx,
+                          const std::vector<LayerRange>& ranges);
+
+/**
+ * Checks the chiplets one model's segments run on: every id is in
+ * [0, numChiplets) and none repeats. Raises FatalError with the
+ * message WindowEvaluator::evaluate() would give otherwise.
+ */
+void validatePath(const std::vector<int>& chiplets, int numChiplets);
+
 /** Evaluates window placements on one (scenario, MCM) pair. */
 class WindowEvaluator
 {
@@ -160,9 +176,23 @@ class WindowEvaluator
      * pricing goes through the same `evalModel` member in the same
      * floating-point operation order (pinned in tests/test_cost.cc).
      * Requires: exactly one placed model; contention and dramRoofline
-     * disabled in the evaluator options.
+     * disabled in the evaluator options. Validates the placement like
+     * evaluate() does, then runs evaluateSoloUnchecked().
      */
     SoloWindowCost evaluateSolo(const WindowPlacement& placement) const;
+
+    /**
+     * The unchecked core of evaluateSolo(), for the beam search's hot
+     * path: prices model placement `mp` whose input comes from chiplet
+     * `entry` (-1: DRAM). Performs no validation. The caller
+     * guarantees what evaluateSolo() would check: this evaluator runs
+     * the solo configuration, `mp` passes validateSegmentation() and
+     * its chiplets pass validatePath(). The search checks each
+     * segmentation and each enumerated path once where it is made, not
+     * once per evaluation.
+     */
+    SoloWindowCost evaluateSoloUnchecked(const ModelPlacement& mp,
+                                         int entry) const;
 
     /** The underlying per-transfer communication model. */
     const CommModel& comm() const { return comm_; }
@@ -191,8 +221,11 @@ class WindowEvaluator
 
     /**
      * Prices one model's placement at mini-batch candidate `bIdx`,
+     * with its input coming from chiplet `entry` (-1: DRAM),
      * inflating every transfer's bytes by the supplied contention
-     * factor `factor(src, dst, phase)`. The static factor returns 1
+     * factor `factor(src, dst, phase)`. Per-segment costs are kept in
+     * the result only when `keepSegments` is set; the totals are the
+     * same either way. The static factor returns 1
      * for non-activation phases, so DRAM-side sites multiply by 1 —
      * bit-identical to the pre-phase code that applied no factor
      * there. The factor is a templated callable, so the inner loop
@@ -202,8 +235,8 @@ class WindowEvaluator
      * one function.
      */
     template <typename Factor>
-    ModelWindowCost evalModel(const WindowPlacement& placement,
-                              const ModelPlacement& mp, int bIdx,
+    ModelWindowCost evalModel(const ModelPlacement& mp, int entry,
+                              int bIdx, bool keepSegments,
                               Factor&& factor) const;
 
     const CostDb& db_;

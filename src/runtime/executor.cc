@@ -140,6 +140,15 @@ ReplayExecutor::nextStepBoundarySec(int windowsPerStep) const
     return std::numeric_limits<double>::infinity();
 }
 
+int
+ReplayExecutor::windowsPerStep() const
+{
+    SCAR_REQUIRE(busy_, "executor: windowsPerStep while idle");
+    return dispatch_.llmDecodeSteps > 0
+               ? static_cast<int>(schedule_->windowSec.size())
+               : 1;
+}
+
 std::size_t
 ReplayExecutor::windowsRemaining() const
 {

@@ -142,6 +142,16 @@ class ReplayExecutor
     double nextStepBoundarySec(int windowsPerStep) const;
 
     /**
+     * The step grid of the in-flight replay: for a decode round the
+     * one-step schedule's window count (every windowsPerStep()-th
+     * boundary ends a step, the instants a continuous-batching join
+     * may cut), 1 for any other dispatch. Derived from the loaded
+     * replay, so it holds after start() and after resume() alike.
+     * Requires busy().
+     */
+    int windowsPerStep() const;
+
+    /**
      * Quiet-interval bound probe for mid-replay completions: the
      * earliest boundary instant at which any dispatch group selected
      * by `pred(groupIdx)` replays its last window (and so completes its

@@ -769,7 +769,6 @@ FleetSimulator::beginRun(RunState& st)
         shard.preemptions = 0;
         shard.resumeOverheadSec = 0.0;
         shard.lastKey.clear();
-        shard.llmWindowsPerStep = 1;
     }
     contestedRoutes_ = 0;
     costOptimalRoutes_ = 0;
@@ -884,12 +883,8 @@ FleetSimulator::startDueParked(RunState& st)
         // llmDecodeSteps times by window index (ReplayExecutor); the
         // cache key stays the one-step signature so every round of
         // the same (context bucket, batch) shares one cached solve.
-        // llmWindowsPerStep marks the step-aligned boundaries for the
-        // join cut.
-        shard.llmWindowsPerStep =
-            shard.pending.llmDecodeSteps > 0
-                ? static_cast<int>(schedule->windowSec.size())
-                : 1;
+        // The executor's windowsPerStep() marks the step-aligned
+        // boundaries for the join cut.
         double startSec = st.nowSec;
         if (!shard.lastKey.empty() &&
             shard.lastKey != shard.pendingKey &&
@@ -1354,8 +1349,9 @@ FleetSimulator::quietIntervalBound(const RunState& st,
             if (continuous &&
                 admission.decodeQueuedCount(
                     running.catalogIdx.front()) > 0)
-                bound = std::min(bound, sh.executor.nextStepBoundarySec(
-                                            sh.llmWindowsPerStep));
+                bound = std::min(
+                    bound, sh.executor.nextStepBoundarySec(
+                               sh.executor.windowsPerStep()));
         } else {
             // Prefill/mixed replay: an autoregressive group completing
             // mid-replay enqueues decode waiters (commitTick bumps the
@@ -1530,10 +1526,10 @@ FleetSimulator::boundaryTick(RunState& st, int shardIdx)
         const int model = running.llmDecodeSteps > 0
                               ? running.catalogIdx.front()
                               : -1;
+        const int perStep = sh.executor.windowsPerStep();
         if (model >= 0 && st.admission.decodeQueuedCount(model) > 0 &&
-            (tick.windowIdx + 1) % sh.llmWindowsPerStep == 0) {
-            const int stepsDone =
-                (tick.windowIdx + 1) / sh.llmWindowsPerStep;
+            (tick.windowIdx + 1) % perStep == 0) {
+            const int stepsDone = (tick.windowIdx + 1) / perStep;
             SuspendedReplay cut = sh.executor.suspend(false);
             sh.busySec -= cut.remainingSec;
             --llmStreams_[model];

@@ -360,13 +360,6 @@ class FleetSimulator
         /** Trace bookkeeping: start instant of the window currently
          *  replaying (the span start when the next boundary ticks). */
         double traceWindowStartSec = 0.0;
-        /** Windows per decode step of the replaying dispatch (1 for
-         *  non-decode dispatches). A decode round replays the cached
-         *  one-step schedule llmDecodeSteps times, so only every
-         *  llmWindowsPerStep-th boundary is a step boundary — the
-         *  instants where a continuous-batching join may cut the
-         *  replay. */
-        int llmWindowsPerStep = 1;
     };
 
     /** The (mix signature, package signature) key of shard s. */

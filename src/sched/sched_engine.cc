@@ -1,6 +1,7 @@
 #include "sched/sched_engine.h"
 #include <functional>
 #include <limits>
+#include <optional>
 #include <set>
 
 #include <algorithm>
@@ -26,7 +27,80 @@ soloOptions(const EvaluatorOptions& base)
     return opts;
 }
 
+/** Two ints packed into one 64-bit hash word. */
+std::uint64_t
+packPair(int hi, int lo)
+{
+    return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(hi))
+            << 32) |
+           static_cast<std::uint32_t>(lo);
+}
+
 } // namespace
+
+WindowScheduler::SoloCache::Key
+WindowScheduler::SoloCache::makeKey(int model, int entry,
+                                    const Segmentation& seg,
+                                    const std::vector<int>& path)
+{
+    std::uint64_t h = mixBits(packPair(model, entry) ^
+                              (static_cast<std::uint64_t>(path.size())
+                               << 48));
+    for (std::size_t k = 0; k < path.size(); ++k)
+        h = mixBits(h ^ packPair(seg.segments[k].last, path[k]));
+    return Key{model, entry, seg, path, static_cast<std::uint32_t>(h)};
+}
+
+WindowScheduler::SoloCache::SoloCache()
+{
+    map_.reserve(kReservedKeys);
+    arena_.reserve(kReservedKeys * 4);
+}
+
+bool
+WindowScheduler::SoloCache::matches(const StoredKey& stored,
+                                    const Key& key) const
+{
+    if (stored.hash != key.hash)
+        return false;
+    const int* ints = arena_.data() + stored.offset;
+    const std::size_t n = key.path.size();
+    if (ints[0] != key.model || ints[1] != key.entry ||
+        ints[2] != static_cast<int>(n))
+        return false;
+    const int* ends = ints + 3;
+    const int* path = ends + n;
+    for (std::size_t k = 0; k < n; ++k) {
+        if (ends[k] != key.seg.segments[k].last || path[k] != key.path[k])
+            return false;
+    }
+    return true;
+}
+
+const WindowScheduler::SoloCache::Value*
+WindowScheduler::SoloCache::find(const Key& key) const
+{
+    return map_.find(key.hash, [&](const StoredKey& stored) {
+        return matches(stored, key);
+    });
+}
+
+void
+WindowScheduler::SoloCache::insert(const Key& key, const Value& value)
+{
+    const std::size_t n = key.path.size();
+    SCAR_ASSERT(arena_.size() + 3 + 2 * n <=
+                    std::numeric_limits<std::uint32_t>::max(),
+                "solo memo arena exceeds 32-bit offsets");
+    const auto offset = static_cast<std::uint32_t>(arena_.size());
+    arena_.push_back(key.model);
+    arena_.push_back(key.entry);
+    arena_.push_back(static_cast<int>(n));
+    for (const LayerRange& r : key.seg.segments)
+        arena_.push_back(r.last);
+    arena_.insert(arena_.end(), key.path.begin(), key.path.end());
+    map_.insert(StoredKey{key.hash, offset}, value);
+}
 
 WindowScheduler::WindowScheduler(const CostDb& db, OptTarget target,
                                  WindowSearchOptions opts)
@@ -75,17 +149,7 @@ WindowScheduler::soloCost(int model, const Segmentation& seg,
 {
     SCAR_ASSERT(path.size() == seg.segments.size(),
                 "path length != segment count");
-    // Probe with a per-thread scratch key: only a miss copies it
-    // into the cache, so a hit allocates nothing.
-    thread_local std::vector<int> key;
-    key.clear();
-    key.push_back(model);
-    key.push_back(entry);
-    for (const LayerRange& r : seg.segments)
-        key.push_back(r.last);
-    key.push_back(-2);
-    key.insert(key.end(), path.begin(), path.end());
-
+    const SoloCache::Key key = SoloCache::makeKey(model, entry, seg, path);
     if (const auto* cached = cache.find(key)) {
         obs::SearchCounters::bump(opts_.counters,
                                   &obs::SearchCounters::soloHits);
@@ -94,20 +158,18 @@ WindowScheduler::soloCost(int model, const Segmentation& seg,
     obs::SearchCounters::bump(opts_.counters,
                               &obs::SearchCounters::soloMisses);
 
-    WindowPlacement placement;
-    placement.entryChiplet.assign(
-        db_.scenario().numModels(), -1);
-    placement.entryChiplet[model] = entry;
-    ModelPlacement mp;
+    ModelPlacement& mp = cache.scratch();
     mp.modelIdx = model;
+    mp.segments.resize(path.size());
     for (std::size_t k = 0; k < path.size(); ++k)
-        mp.segments.push_back(PlacedSegment{seg.segments[k], path[k]});
-    placement.models.push_back(std::move(mp));
+        mp.segments[k] = PlacedSegment{seg.segments[k], path[k]};
 
     // Solo fast path: one model, contention-free — skips flow
     // enumeration and the final re-evaluation while returning the
     // same two scalars bit-for-bit (pinned in tests/test_cost.cc).
-    const SoloWindowCost cost = soloEval_.evaluateSolo(placement);
+    // Unchecked: the segmentation was validated where the search made
+    // it, and the path where PathCache enumerated it.
+    const SoloWindowCost cost = soloEval_.evaluateSoloUnchecked(mp, entry);
     const std::pair<double, double> result{cost.latencyCycles,
                                            cost.energyNj};
     cache.insert(key, result);
@@ -122,6 +184,10 @@ WindowScheduler::refineSegmentations(int model,
 {
     const Topology& topo = db_.mcm().topology();
     const std::vector<bool> noneBlocked(topo.numNodes(), false);
+    // Every combo this search places draws its segmentations from
+    // this list, so checking it here checks them all once.
+    for (const Segmentation& seg : pruned)
+        validateSegmentation(db_.scenario(), model, seg.segments);
 
     // Score every candidate by index so the ranking below sees a
     // fixed order.
@@ -393,6 +459,7 @@ WindowScheduler::search(const WindowAssignment& wa,
         for (int m : present) {
             Segmentation seg;
             seg.segments.push_back(wa.perModel[m]);
+            validateSegmentation(db_.scenario(), m, seg.segments);
             segs.push_back(std::move(seg));
         }
         placeCombo(present, segs, entry, cache, pathCache, result);
@@ -420,9 +487,16 @@ WindowScheduler::placeSegmentations(
     const std::vector<int>& entry, SoloCache* sharedSolo,
     PathCache* sharedPaths) const
 {
+    SCAR_REQUIRE(presentModels.size() == segs.size(), "got ",
+                 segs.size(), " segmentations for ", presentModels.size(),
+                 " models");
+    for (std::size_t i = 0; i < segs.size(); ++i)
+        validateSegmentation(db_.scenario(), presentModels[i],
+                             segs[i].segments);
     Result result;
-    SoloCache localCache;
-    SoloCache& cache = sharedSolo != nullptr ? *sharedSolo : localCache;
+    std::optional<SoloCache> localCache;
+    SoloCache& cache =
+        sharedSolo != nullptr ? *sharedSolo : localCache.emplace();
     PathCache localPaths;
     localPaths.setCounters(opts_.counters);
     PathCache& paths = sharedPaths != nullptr ? *sharedPaths : localPaths;

@@ -90,12 +90,93 @@ class WindowScheduler
      * Per-solve memo of contention-free single-model (latency,
      * energy) costs, shared across the combos of one window search
      * (and, for the evolutionary driver, across a whole EA run).
-     * Values are deterministic functions of the key. Not
-     * synchronized: one memo belongs to one serial search.
+     *
+     * The key is (model, entry chiplet, segment ends, path). It is
+     * hashed and compared straight from the caller's Segmentation and
+     * path, so a probe copies nothing and a hit allocates nothing. A
+     * stored key's integers live in one flat arena as
+     * [model, entry, n, end_0..end_n-1, path_0..path_n-1]; a
+     * FlatHashMap, reserved once per memo, maps (hash, arena offset)
+     * to the value. The explicit n keeps keys of different segment
+     * counts apart. Segment starts are not part of the key: within
+     * one search a model's window range is fixed, so its ends
+     * determine its segments.
+     *
+     * Values are deterministic functions of the key, so probe order
+     * never changes a result. Not synchronized: one memo belongs to
+     * one serial search.
      */
-    using SoloCache = FlatHashMap<std::vector<int>,
-                                  std::pair<double, double>,
-                                  IntSequenceHash>;
+    class SoloCache
+    {
+      public:
+        using Value = std::pair<double, double>;
+
+        /** A probe key viewed in place; insert() copies it. */
+        struct Key
+        {
+            int model;
+            int entry;
+            const Segmentation& seg;
+            const std::vector<int>& path; ///< one chiplet per segment
+            std::uint32_t hash;           ///< as makeKey() computes it
+        };
+
+        /** The key of (model, entry, seg, path), hash included. */
+        static Key makeKey(int model, int entry, const Segmentation& seg,
+                           const std::vector<int>& path);
+
+        SoloCache();
+
+        /** The stored value for `key`, or nullptr when absent. */
+        const Value* find(const Key& key) const;
+
+        /** Stores `value` for `key`, which must not be present. */
+        void insert(const Key& key, const Value& value);
+
+        std::size_t size() const { return map_.size(); }
+
+        /**
+         * Placement the search's miss path fills before pricing it;
+         * reused so a miss allocates only when a key has more segments
+         * than any before it.
+         */
+        ModelPlacement& scratch() { return scratch_; }
+
+      private:
+        /**
+         * Keys reserved up front: on fleet_arvr a window search's memo
+         * holds a median of 810 keys and a p99 of 2,015, so nearly
+         * every search runs without a rehash.
+         */
+        static constexpr std::size_t kReservedKeys = 2048;
+
+        /** A stored key: its hash and where its integers start. */
+        struct StoredKey
+        {
+            std::uint32_t hash;
+            std::uint32_t offset; ///< into arena_
+
+            /** Each stored key has its own offset. */
+            bool operator==(const StoredKey& o) const
+            {
+                return offset == o.offset;
+            }
+        };
+
+        struct StoredKeyHash
+        {
+            std::uint64_t operator()(const StoredKey& k) const
+            {
+                return k.hash;
+            }
+        };
+
+        bool matches(const StoredKey& stored, const Key& key) const;
+
+        FlatHashMap<StoredKey, Value, StoredKeyHash> map_;
+        std::vector<int> arena_;
+        ModelPlacement scratch_;
+    };
 
     WindowScheduler(const CostDb& db, OptTarget target,
                     WindowSearchOptions opts = WindowSearchOptions{});
@@ -118,12 +199,14 @@ class WindowScheduler
 
     /**
      * Evaluates a fixed per-model segmentation choice (used by the
-     * evolutionary driver): beam placement + full evaluation.
+     * evolutionary driver): beam placement + full evaluation. Each
+     * segmentation is checked with validateSegmentation() first, so a
+     * malformed one fails here with evaluate()'s messages.
      * @param segs per-present-model segmentations, aligned with the
      *        present-model order of the window assignment
      * @param sharedSolo optional solo-cost memo reused across calls
-     *        (the EA shares one per window search); nullptr uses a
-     *        private cache
+     *        on one window assignment (the EA shares one per window
+     *        search); nullptr uses a private cache
      * @param sharedPaths optional path-enumeration memo reused across
      *        calls (the EA shares one per window search); nullptr
      *        uses a private cache

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/error.h"
+#include "cost/window_evaluator.h"
 
 namespace scar
 {
@@ -30,6 +31,22 @@ dfs(const Topology& topo, int node, int remaining,
     }
     visited[node] = false;
     path.pop_back();
+}
+
+/**
+ * Enumerates once for PathCache::get() and checks every path the way
+ * WindowEvaluator::evaluate() checks a placement's chiplets: the
+ * solo costing prices these paths unchecked.
+ */
+std::shared_ptr<const PathCache::PathList>
+enumerateChecked(const Topology& topo, int length,
+                 const std::vector<bool>& blocked, int maxTotal)
+{
+    auto paths = std::make_shared<const PathCache::PathList>(
+        enumeratePathsAllRoots(topo, length, blocked, maxTotal));
+    for (const std::vector<int>& path : *paths)
+        validatePath(path, topo.numNodes());
+    return paths;
 }
 
 } // namespace
@@ -82,8 +99,7 @@ PathCache::get(const Topology& topo, int length,
     if (topo.numNodes() > 64) {
         obs::SearchCounters::bump(counters_,
                                   &obs::SearchCounters::pathMisses);
-        return std::make_shared<const PathList>(
-            enumeratePathsAllRoots(topo, length, blocked, maxTotal));
+        return enumerateChecked(topo, length, blocked, maxTotal);
     }
 
     Key key;
@@ -106,9 +122,8 @@ PathCache::get(const Topology& topo, int length,
     }
     obs::SearchCounters::bump(counters_,
                               &obs::SearchCounters::pathMisses);
-    return map_.insert(key, std::make_shared<const PathList>(
-                                enumeratePathsAllRoots(
-                                    topo, length, blocked, maxTotal)));
+    return map_.insert(key,
+                       enumerateChecked(topo, length, blocked, maxTotal));
 }
 
 } // namespace scar

@@ -56,6 +56,10 @@ std::vector<std::vector<int>> enumeratePathsAllRoots(
  *
  * Topologies with more than 64 nodes don't fit the bitmask key and
  * bypass the cache (correct, just unmemoized).
+ *
+ * Every path is checked with validatePath() once, when get()
+ * enumerates it (on both branches), so the search can price cached
+ * paths without re-checking them.
  */
 class PathCache
 {

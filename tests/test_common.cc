@@ -188,6 +188,13 @@ TEST(FlatHashMap, FindInsertAndGrowth)
         EXPECT_EQ(*value, i);
     }
     EXPECT_EQ(map.find({1000, 31000, -1000}), nullptr);
+    // A probe by precomputed hash and match test finds the same entry.
+    const std::vector<int> probe = {5, 155, -5};
+    const int* byHash =
+        map.find(IntSequenceHash{}(probe),
+                 [&](const std::vector<int>& key) { return key == probe; });
+    ASSERT_NE(byHash, nullptr);
+    EXPECT_EQ(*byHash, 5);
     // Prefix/suffix confusion must not alias.
     EXPECT_EQ(map.find({1, 31}), nullptr);
     EXPECT_EQ(map.find({}), nullptr);

@@ -490,10 +490,11 @@ TEST(WindowEvalContention, EvaluationNeverGrowsLoadTables)
 
 TEST(SoloFastPath, BitExactAgainstFullEvaluate)
 {
-    // The beam search's soloCost goes through evaluateSolo; its
-    // pruning thresholds compare those numbers against full-evaluate
-    // window costs, so the fast path must be bit-exact, not merely
-    // close. Cover single- and multi-segment placements of both
+    // The beam search's soloCost calls evaluateSoloUnchecked, which
+    // evaluateSolo wraps, so this test pins the unchecked core too.
+    // The search's pruning thresholds compare those numbers against
+    // full-evaluate window costs, so the fast path must be bit-exact,
+    // not merely close. Cover single- and multi-segment placements of both
     // models on a heterogeneous package.
     const Scenario sc = tinyScenario();
     const Mcm mcm = templates::hetSides3x3();
@@ -551,6 +552,27 @@ TEST(SoloFastPath, RequiresSoloConfiguration)
     two.models.push_back(other);
     const WindowEvaluator solo(db, {false, false});
     EXPECT_THROW(solo.evaluateSolo(two), FatalError);
+
+    // Malformed placements: the public entry still validates, even
+    // though the search's unchecked core does not.
+    const int last = sc.models[0].numLayers() - 1;
+    auto twoSegments = [&](LayerRange a, int ca, LayerRange b, int cb) {
+        WindowPlacement placement;
+        ModelPlacement model;
+        model.modelIdx = 0;
+        model.segments.push_back(PlacedSegment{a, ca});
+        model.segments.push_back(PlacedSegment{b, cb});
+        placement.models.push_back(model);
+        return placement;
+    };
+    EXPECT_THROW(solo.evaluateSolo(twoSegments({0, 1}, 3, {2, last}, 3)),
+                 FatalError)
+        << "duplicate chiplet";
+    EXPECT_THROW(solo.evaluateSolo(twoSegments({0, 0}, 3, {2, last}, 4)),
+                 FatalError)
+        << "gap between segments";
+    EXPECT_NO_THROW(
+        solo.evaluateSolo(twoSegments({0, 1}, 3, {2, last}, 4)));
 }
 
 TEST(CostDb, TableReuseIsCountedAndBitTransparent)

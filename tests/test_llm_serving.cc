@@ -434,6 +434,75 @@ TEST(LlmServing, ContinuousJoinsAtStepBoundary)
 }
 
 /**
+ * A decode round suspended by boundary preemption resumes on its own
+ * step grid. Chat A decodes in multi-step rounds on the only shard,
+ * and each step of this decoder's one-step schedule spans several
+ * windows. Chat B and an XR frame arrive mid-round, both urgent, so
+ * the round is suspended and the urgent prefill and vision batch runs
+ * in between. B then waits for decode, so the resumed round is cut
+ * for the join, and that cut must land on a step boundary and credit
+ * whole steps. Crediting one step per window hands A tokens it never
+ * replayed: A then over-generates, or finishes before it could have
+ * alone.
+ */
+TEST(LlmServing, ResumedDecodeRoundJoinsOnItsStepGrid)
+{
+    auto catalog = llmCatalog(/*batchCap=*/4);
+    TransformerConfig cfg = tinyDecoder();
+    cfg.numBlocks = 4;
+    cfg.dFf = 512;
+    catalog[0].model = buildTransformer(cfg);
+    catalog[0].model.batch = 4;
+    catalog[0].llm.decoder = cfg;
+    catalog[0].sloSec = 0.001; // every chat prefill is urgent
+    catalog.push_back(ServedModel{});
+    catalog[1].model = zoo::eyeCod(1);
+    catalog[1].sloSec = 0.001;
+
+    FleetOptions options;
+    options.shards = 1;
+    options.serving.admission.llmBatching = LlmBatchingMode::Continuous;
+    options.serving.admission.maxQueueDelaySec = 0.0002;
+    options.serving.preemption.enabled = true;
+    options.serving.preemption.slackThresholdSec = 0.03;
+    auto serve = [&](std::vector<std::pair<double, int>> arrivals,
+                     ServingReport& report) {
+        auto trace = traceFromArrivals(catalog, std::move(arrivals));
+        trace[0].promptTokens = 16;
+        trace[0].outputTokens = 200;
+        if (trace.size() > 1) {
+            trace[1].promptTokens = 16;
+            trace[1].outputTokens = 8;
+        }
+        FleetSimulator fleet(
+            catalog, templates::hetSides3x3(templates::kArvrPes),
+            options);
+        report = fleet.run(trace);
+        return fleet.records();
+    };
+
+    ServingReport alone;
+    const auto aloneRecords = serve({{0.0, 0}}, alone);
+    ASSERT_EQ(aloneRecords.size(), 1u);
+    const double aloneDoneSec = aloneRecords[0].completionSec;
+
+    ServingReport report;
+    const auto records =
+        serve({{0.0, 0}, {0.003, 0}, {0.003, 1}}, report);
+    EXPECT_EQ(report.completed, 3);
+    EXPECT_EQ(report.preemptions, 1) << "the urgent batch must cut in";
+    EXPECT_GE(report.llmJoins, 1) << "B must join A's resumed round";
+    for (const Request& req : records) {
+        EXPECT_EQ(req.generatedTokens, req.outputTokens)
+            << "request " << req.id;
+        if (req.id == 0) {
+            EXPECT_GE(req.completionSec, aloneDoneSec)
+                << "sharing the shard cannot speed A's decode up";
+        }
+    }
+}
+
+/**
  * Retirement policy: under Static batch-and-replay the short sequence
  * is locked into the long one's batch and retires with it; under
  * continuous batching it leaves at its own final decode round. The
