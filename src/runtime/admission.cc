@@ -14,23 +14,20 @@ namespace
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-/** Smallest power of two >= n. */
+/**
+ * Dispatched batch for `riders` requests under batch cap `cap`: the
+ * cap when full, else `riders` rounded up to the next power of two
+ * (capped) when quantizing.
+ */
 int
-nextPow2(int n)
+dispatchBatch(int riders, int cap, bool quantize)
 {
+    if (riders >= cap || !quantize)
+        return std::min(riders, cap);
     int p = 1;
-    while (p < n)
+    while (p < riders)
         p *= 2;
-    return p;
-}
-
-/** Quantized decode-round batch for `boarded` riders. */
-int
-decodeRoundBatch(int boarded, int cap, bool quantize)
-{
-    if (boarded >= cap)
-        return cap;
-    return quantize ? std::min(nextPow2(boarded), cap) : boarded;
+    return std::min(p, cap);
 }
 
 } // namespace
@@ -70,6 +67,7 @@ AdmissionController::enqueue(const Request& request)
                  "admission: request model ", request.modelIdx,
                  " outside catalog");
     queues_[request.modelIdx].push_back(request);
+    ++epoch_;
 }
 
 int
@@ -108,47 +106,98 @@ AdmissionController::ready(double nowSec) const
     return false;
 }
 
-int
-AdmissionController::dispatchBatch(std::size_t model) const
+DispatchPlan
+AdmissionController::plan(bool urgent, double nowSec,
+                          double slackSec) const
 {
-    const int queued = static_cast<int>(queues_[model].size());
-    const int cap = catalog_[model].model.batch;
-    if (queued >= cap)
-        return cap;
-    return options_.quantizeBatches
-               ? std::min(nextPow2(queued), cap)
-               : queued;
-}
-
-Dispatch
-AdmissionController::formDispatch(double nowSec)
-{
-    // The speculative path dispatches partial batches before the
-    // batching timer: any queued work suffices.
-    SCAR_REQUIRE(ready(nowSec) || (options_.speculativePartialDispatch &&
-                                   queuedCount() > 0),
-                 "admission: formDispatch while idle");
-    return formFrom(nowSec,
-                    std::vector<bool>(queues_.size(), true));
-}
-
-Dispatch
-AdmissionController::formFrom(double nowSec,
-                              const std::vector<bool>& take)
-{
-    Dispatch dispatch;
-    dispatch.mix.name = "mix";
+    if (urgent) {
+        SCAR_REQUIRE(urgentQueued(nowSec, slackSec),
+                     "admission: urgent plan without an urgent "
+                     "request queued");
+    } else {
+        // The speculative path dispatches partial batches before the
+        // batching timer: any queued work suffices.
+        SCAR_REQUIRE(ready(nowSec) ||
+                         (options_.speculativePartialDispatch &&
+                          queuedCount() > 0),
+                     "admission: regular plan while idle");
+    }
+    DispatchPlan plan;
+    plan.kind_ = urgent ? DispatchKind::Urgent : DispatchKind::Regular;
+    plan.nowSec_ = nowSec;
+    plan.owner_ = this;
+    plan.epoch_ = epoch_;
+    plan.mix_.name = "mix";
     for (std::size_t m = 0; m < queues_.size(); ++m) {
-        auto& q = queues_[m];
-        if (q.empty() || !take[m])
+        const auto& q = queues_[m];
+        if (q.empty() || (urgent && !modelUrgent(m, nowSec, slackSec)))
             continue;
-        BatchGroup group;
-        group.catalogIdx = static_cast<int>(m);
-        group.batch = dispatchBatch(m);
-        // Derive the scheduled model before draining the queue: the
-        // prefill variant's bucket scans the queued prompts, and the
-        // peeked signature the fleet routed on saw the full queue.
+        // The scheduled model carries the dispatched batch size: the
+        // mix signature (and so the schedule-cache key) reflects the
+        // padded batch, not the raw queue depth.
         Model scheduled = scheduledModel(m);
+        scheduled.batch = dispatchBatch(static_cast<int>(q.size()),
+                                        catalog_[m].model.batch,
+                                        options_.quantizeBatches);
+        plan.mix_.models.push_back(std::move(scheduled));
+        plan.catalogIdx_.push_back(static_cast<int>(m));
+    }
+    plan.signature_ = plan.mix_.signature();
+    return plan;
+}
+
+DispatchPlan
+AdmissionController::planDecode(int model) const
+{
+    SCAR_REQUIRE(decodeQueuedCount(model) > 0,
+                 "admission: decode plan on empty decode queue");
+    const std::size_t m = static_cast<std::size_t>(model);
+    DispatchPlan plan;
+    plan.kind_ = DispatchKind::Decode;
+    plan.owner_ = this;
+    plan.epoch_ = epoch_;
+    plan.decode_ = decodeRound(m);
+    const DecodeMix& memo =
+        decodeMix(m, plan.decode_.ctxBucket, plan.decode_.batch);
+    plan.mix_ = memo.mix;
+    plan.signature_ = memo.signature;
+    plan.catalogIdx_.push_back(model);
+    return plan;
+}
+
+Dispatch
+AdmissionController::commit(DispatchPlan&& plan)
+{
+    SCAR_REQUIRE(plan.owner_ == this,
+                 "admission: commit of a plan this controller did not "
+                 "make");
+    SCAR_REQUIRE(plan.epoch_ == epoch_, "admission: stale plan (made at "
+                                        "epoch ",
+                 plan.epoch_, ", queues at epoch ", epoch_, ")");
+    Dispatch dispatch;
+    if (plan.kind_ == DispatchKind::Decode)
+        boardDecode(plan, dispatch);
+    else
+        boardQueues(plan, dispatch);
+    dispatch.mix = std::move(plan.mix_);
+    dispatch.signature = std::move(plan.signature_);
+    dispatch.catalogIdx = std::move(plan.catalogIdx_);
+    ++epoch_;
+    return dispatch;
+}
+
+void
+AdmissionController::boardQueues(const DispatchPlan& plan,
+                                 Dispatch& dispatch)
+{
+    const double nowSec = plan.nowSec_;
+    for (std::size_t slot = 0; slot < plan.catalogIdx_.size(); ++slot) {
+        const std::size_t m =
+            static_cast<std::size_t>(plan.catalogIdx_[slot]);
+        auto& q = queues_[m];
+        BatchGroup group;
+        group.catalogIdx = plan.catalogIdx_[slot];
+        group.batch = plan.mix_.models[slot].batch;
         const int boardCount =
             std::min(static_cast<int>(q.size()), group.batch);
         if (options_.order == QueueOrder::EarliestDeadline &&
@@ -203,36 +252,8 @@ AdmissionController::formFrom(double nowSec,
                 q.pop_front();
             }
         }
-        // The scheduled model carries the dispatched batch size: the
-        // mix signature (and so the schedule-cache key) reflects the
-        // padded batch, not the raw queue depth.
-        scheduled.batch = group.batch;
-        dispatch.mix.models.push_back(std::move(scheduled));
-        dispatch.catalogIdx.push_back(static_cast<int>(m));
         dispatch.groups.push_back(std::move(group));
     }
-    return dispatch;
-}
-
-Scenario
-AdmissionController::peekMix() const
-{
-    return peekFrom(std::vector<bool>(queues_.size(), true));
-}
-
-Scenario
-AdmissionController::peekFrom(const std::vector<bool>& take) const
-{
-    Scenario mix;
-    mix.name = "mix";
-    for (std::size_t m = 0; m < queues_.size(); ++m) {
-        if (queues_[m].empty() || !take[m])
-            continue;
-        Model scheduled = scheduledModel(m);
-        scheduled.batch = dispatchBatch(m);
-        mix.models.push_back(std::move(scheduled));
-    }
-    return mix;
 }
 
 Model
@@ -242,10 +263,10 @@ AdmissionController::scheduledModel(std::size_t model) const
     if (!sm.llm.autoregressive)
         return sm.model;
     // Prefill variant at the queue's max prompt, bucket-rounded. The
-    // max ranges over the whole queue — not just the boarders — so
-    // peekMix and formDispatch trivially agree on the signature the
-    // fleet's routing handshake asserts; the cost is mild over-padding
-    // when a long-prompt request waits behind the batch cap.
+    // max ranges over the whole queue — not just the boarders — which
+    // keeps the plan independent of boarding order; the cost is mild
+    // over-padding when a long-prompt request waits behind the batch
+    // cap.
     std::int64_t maxPrompt = 1;
     for (const Request& req : queues_[model])
         maxPrompt = std::max(
@@ -291,28 +312,6 @@ AdmissionController::urgentQueued(double nowSec, double slackSec) const
     return false;
 }
 
-Scenario
-AdmissionController::peekUrgentMix(double nowSec,
-                                   double slackSec) const
-{
-    std::vector<bool> take(queues_.size());
-    for (std::size_t m = 0; m < queues_.size(); ++m)
-        take[m] = modelUrgent(m, nowSec, slackSec);
-    return peekFrom(take);
-}
-
-Dispatch
-AdmissionController::formUrgentDispatch(double nowSec, double slackSec)
-{
-    SCAR_REQUIRE(urgentQueued(nowSec, slackSec),
-                 "admission: formUrgentDispatch without an urgent "
-                 "request queued");
-    std::vector<bool> take(queues_.size());
-    for (std::size_t m = 0; m < queues_.size(); ++m)
-        take[m] = modelUrgent(m, nowSec, slackSec);
-    return formFrom(nowSec, take);
-}
-
 void
 AdmissionController::enqueueDecode(const Request& request)
 {
@@ -327,6 +326,7 @@ AdmissionController::enqueueDecode(const Request& request)
     SCAR_REQUIRE(request.prefillDone(),
                  "admission: decode enqueue before prefill");
     decodeQueues_[request.modelIdx].push_back(request);
+    ++epoch_;
 }
 
 int
@@ -348,8 +348,8 @@ AdmissionController::decodeQueuedCount(int model) const
     return static_cast<int>(decodeQueues_[model].size());
 }
 
-AdmissionController::DecodePlan
-AdmissionController::planDecode(std::size_t model) const
+DecodePlan
+AdmissionController::decodeRound(std::size_t model) const
 {
     const ServedModel& sm = catalog_[model];
     const auto& q = decodeQueues_[model];
@@ -394,13 +394,12 @@ AdmissionController::planDecode(std::size_t model) const
     plan.steps = static_cast<int>(std::min<std::int64_t>(
         std::min(minRemaining, sm.llm.maxDecodeSteps), toBucketEdge));
     plan.steps = std::max(plan.steps, 1);
-    plan.batch = decodeRoundBatch(static_cast<int>(plan.count),
-                                  sm.model.batch,
-                                  options_.quantizeBatches);
+    plan.batch = dispatchBatch(static_cast<int>(plan.count),
+                               sm.model.batch, options_.quantizeBatches);
     return plan;
 }
 
-const DecodeMix&
+const AdmissionController::DecodeMix&
 AdmissionController::decodeMix(std::size_t model, std::int64_t ctxBucket,
                                int batch) const
 {
@@ -415,60 +414,45 @@ AdmissionController::decodeMix(std::size_t model, std::int64_t ctxBucket,
     auto [mixIt, freshMix] = memo.byBatch.try_emplace(batch);
     DecodeMix& entry = mixIt->second;
     if (freshMix) {
-        entry.model = static_cast<int>(model);
-        entry.ctxBucket = ctxBucket;
-        entry.batch = batch;
         entry.mix.name = "mix";
         entry.mix.models.push_back(memo.step);
         entry.mix.models.back().batch = batch;
         entry.signature = entry.mix.signature();
+        ++decodeMixBuilds_;
     }
     return entry;
 }
 
-const DecodeMix&
-AdmissionController::peekDecodeMix(int model) const
+void
+AdmissionController::boardDecode(const DispatchPlan& plan,
+                                 Dispatch& dispatch)
 {
-    SCAR_REQUIRE(decodeQueuedCount(model) > 0,
-                 "admission: peekDecodeMix on empty decode queue");
-    const std::size_t m = static_cast<std::size_t>(model);
-    const DecodePlan plan = planDecode(m);
-    return decodeMix(m, plan.ctxBucket, plan.batch);
-}
-
-Dispatch
-AdmissionController::formDecodeDispatch(int model)
-{
-    SCAR_REQUIRE(decodeQueuedCount(model) > 0,
-                 "admission: formDecodeDispatch on empty decode "
-                 "queue");
-    const std::size_t m = static_cast<std::size_t>(model);
-    auto& q = decodeQueues_[m];
-    const DecodePlan plan = planDecode(m);
+    const DecodePlan& round = plan.decode_;
+    auto& q = decodeQueues_[plan.catalogIdx_.front()];
     const bool lockstep =
         options_.llmBatching == LlmBatchingMode::Static;
 
     BatchGroup group;
-    group.catalogIdx = model;
-    group.batch = plan.batch;
-    group.requests.reserve(plan.count);
+    group.catalogIdx = plan.catalogIdx_.front();
+    group.batch = round.batch;
+    group.requests.reserve(round.count);
     auto board = [&](Request req) {
         if (lockstep && req.llmBatchId < 0)
             req.llmBatchId = nextLlmBatchId_;
         // Finished lockstep padding rides without advancing.
         req.ridingDecodeSteps =
-            req.generatedTokens >= req.outputTokens ? 0 : plan.steps;
+            req.generatedTokens >= req.outputTokens ? 0 : round.steps;
         group.requests.push_back(std::move(req));
     };
-    if (plan.lockedId < 0) {
-        for (std::size_t i = 0; i < plan.count; ++i) {
+    if (round.lockedId < 0) {
+        for (std::size_t i = 0; i < round.count; ++i) {
             board(std::move(q.front()));
             q.pop_front();
         }
     } else {
         std::deque<Request> remaining;
         for (Request& req : q) {
-            if (req.llmBatchId == plan.lockedId)
+            if (req.llmBatchId == round.lockedId)
                 board(std::move(req));
             else
                 remaining.push_back(std::move(req));
@@ -477,14 +461,8 @@ AdmissionController::formDecodeDispatch(int model)
     }
     if (lockstep)
         ++nextLlmBatchId_;
-
-    Dispatch dispatch;
-    dispatch.mix = decodeMix(m, plan.ctxBucket, plan.batch).mix;
-    dispatch.catalogIdx.push_back(model);
     dispatch.groups.push_back(std::move(group));
-    dispatch.llmDecodeSteps = plan.steps;
-    dispatch.llmCtxBucket = plan.ctxBucket;
-    return dispatch;
+    dispatch.llmDecodeSteps = round.steps;
 }
 
 double

@@ -20,8 +20,8 @@
  * Preemption eligibility: a queued request whose slack
  * (deadline - now) has shrunk to the serving runtime's configured
  * threshold is "urgent" — it can no longer afford to wait out the
- * backlog or an in-flight replay. The urgent-dispatch path
- * (urgentQueued / peekUrgentMix / formUrgentDispatch) boards only the
+ * backlog or an in-flight replay. An urgent plan
+ * (urgentQueued, then plan(true, ...)) boards only the
  * models holding such a request, so the preemptive dispatch the fleet
  * squeezes in at a window boundary stays as short as possible; the
  * non-urgent queues keep aging toward their normal forced-dispatch
@@ -30,6 +30,15 @@
  * the eligibility test agree bit-for-bit at the crossing instant
  * (the same FP-symmetry rule ready() and nextForcedDispatchSec()
  * follow).
+ *
+ * Plan, route, commit: plan() or planDecode() decides a dispatch —
+ * its mix, the mix signature (the schedule-cache key's mix half,
+ * computed once) and the boarders — without touching a queue, so the
+ * fleet can route on the signature, defer, or warm the cache; commit()
+ * then drains exactly the planned boarders. The controller owns a
+ * queue epoch, bumped by every enqueue, enqueueDecode and commit;
+ * commit() refuses a plan made by another controller or at another
+ * epoch, so a plan only ever describes the queues it drains.
  */
 
 #ifndef SCAR_RUNTIME_ADMISSION_H
@@ -133,6 +142,8 @@ struct Dispatch
     Scenario mix;                 ///< scenario handed to the scheduler
     std::vector<int> catalogIdx;  ///< mix.models[i] -> catalog index
     std::vector<BatchGroup> groups; ///< aligned with mix.models
+    /** mix.signature(): the mix half of the schedule-cache key. */
+    std::string signature;
     /**
      * Decode steps this dispatch advances each rider by (0 = not a
      * decode round). The executor replays the cached one-step
@@ -141,23 +152,64 @@ struct Dispatch
      * by every round of the same (context bucket, batch).
      */
     int llmDecodeSteps = 0;
-    /** Context bucket a decode round is priced at (0 = not one). */
-    std::int64_t llmCtxBucket = 0;
+};
+
+/** What a dispatch plan boards (see the planner that makes it). */
+enum class DispatchKind
+{
+    Regular, ///< every model with queued work (plan)
+    Urgent,  ///< only the models holding an urgent request (plan)
+    Decode,  ///< one autoregressive model's next round (planDecode)
 };
 
 /**
- * The one-model mix of a decode round, memoized per run by
- * AdmissionController for each (catalog model, context bucket,
- * batch). The signature is a pure function of those keys, so it is
- * computed once here and the fleet routes on the stored string.
+ * The boarders and pricing of one decode round. Its boarders are
+ * every member of Static locked batch `lockedId`, or (lockedId < 0)
+ * the decode-queue prefix [0, count).
  */
-struct DecodeMix
+struct DecodePlan
 {
-    int model = -1;             ///< catalog index
+    std::int64_t lockedId = -1;
+    std::size_t count = 0;      ///< boarders
     std::int64_t ctxBucket = 0; ///< priced context bucket
+    int steps = 1;              ///< decode steps advanced
     int batch = 0;              ///< quantized round batch
-    Scenario mix;               ///< the one-step mix at that batch
-    std::string signature;      ///< mix.signature()
+};
+
+class AdmissionController;
+
+/**
+ * A dispatch decided but not yet drained. Only AdmissionController's
+ * planners make one, and its decision is read-only, so commit()
+ * drains exactly what was planned. Valid for commit() only on the
+ * controller that made it, at the admission epoch it was made at,
+ * and only once (commit() bumps the epoch).
+ */
+class DispatchPlan
+{
+  public:
+    DispatchKind kind() const { return kind_; }
+    /** The mix the dispatch will carry. */
+    const Scenario& mix() const { return mix_; }
+    /** mix().signature(), computed once. */
+    const std::string& signature() const { return signature_; }
+    /** mix().models[i] -> catalog index. */
+    const std::vector<int>& catalogIdx() const { return catalogIdx_; }
+    /** Decode: the round's boarders and steps. */
+    const DecodePlan& decode() const { return decode_; }
+
+  private:
+    friend class AdmissionController;
+
+    DispatchKind kind_ = DispatchKind::Regular;
+    Scenario mix_;
+    std::string signature_;
+    std::vector<int> catalogIdx_;
+    /** Regular / Urgent: the instant EDF boarding ranks aging at. */
+    double nowSec_ = 0.0;
+    DecodePlan decode_;
+    const AdmissionController* owner_ = nullptr; ///< the planner
+    long epoch_ = -1; ///< admission epoch the plan was made at
 };
 
 /** Per-model queues plus the dispatch-forming policy. */
@@ -184,22 +236,6 @@ class AdmissionController
     bool ready(double nowSec) const;
 
     /**
-     * Forms a dispatch at nowSec, consuming the queued requests. All
-     * models with pending work join the mix (partial batches
-     * included) so the package is shared the way the offline
-     * scheduler optimizes for. Requires ready(nowSec).
-     */
-    Dispatch formDispatch(double nowSec);
-
-    /**
-     * The mix formDispatch would build right now, without consuming
-     * any queue. The serving loop uses this to begin a speculative
-     * background schedule solve while every shard is still busy; the
-     * actual dispatch later re-checks the (possibly grown) mix.
-     */
-    Scenario peekMix() const;
-
-    /**
      * Earliest future instant at which a queued request's age crosses
      * maxQueueDelaySec (infinity when no requests are queued). Used
      * by the event loop to schedule its batching timer.
@@ -222,21 +258,6 @@ class AdmissionController
      */
     bool urgentQueued(double nowSec, double slackSec) const;
 
-    /**
-     * The mix formUrgentDispatch would build right now: only the
-     * models holding an urgent request, at their dispatched batch
-     * sizes. Requires urgentQueued(nowSec, slackSec).
-     */
-    Scenario peekUrgentMix(double nowSec, double slackSec) const;
-
-    /**
-     * Forms a dispatch draining only the urgent models' queues
-     * (boarding order as in formDispatch); the other models' requests
-     * stay queued and keep aging toward their forced-dispatch timer.
-     * Requires urgentQueued(nowSec, slackSec).
-     */
-    Dispatch formUrgentDispatch(double nowSec, double slackSec);
-
     // ---- autoregressive decode queue -----------------------------
     // Requests whose prefill has completed but whose output length is
     // not reached wait here between decode rounds. Decode rounds are
@@ -252,26 +273,60 @@ class AdmissionController
     /** Decode-waiting requests of one catalog model. */
     int decodeQueuedCount(int model) const;
 
-    /**
-     * The single-model mix formDecodeDispatch would build for this
-     * model right now: the one-step decode variant at the boarders'
-     * context bucket and quantized batch. The returned entry lives in
-     * the controller's memo and stays valid for its lifetime.
-     * Requires waiters.
-     */
-    const DecodeMix& peekDecodeMix(int model) const;
+    // ---- plan, then commit ---------------------------------------
 
     /**
-     * Forms a decode round for one model, consuming the boarding
-     * requests. Boarding follows options().llmBatching: Continuous
-     * boards the FIFO prefix up to the batch cap; Static boards the
-     * oldest locked batch if one is waiting, else locks a fresh one.
-     * Each boarded request is stamped with ridingDecodeSteps = the
-     * round's step count (0 for finished lockstep padding); the
-     * dispatch carries llmDecodeSteps > 0 and the llmCtxBucket its
-     * mix (the memoized peekDecodeMix entry) was priced at.
+     * Plans a Regular dispatch at nowSec without consuming any queue:
+     * every model with queued work, partial batches included, so the
+     * package is shared the way the offline scheduler optimizes for.
+     * With `urgent`, an Urgent one: only the models holding a request
+     * urgent at nowSec under the threshold slackSec; the others keep
+     * aging toward their forced-dispatch timer. Each model rides at
+     * its dispatched batch — the catalog batch when full, else
+     * rounded up to a power of two (capped) under quantizeBatches.
+     * An autoregressive entry is scheduled as its prefill variant at
+     * the queue's max prompt bucket. Fatal unless ready(nowSec) (or
+     * any work is queued under speculativePartialDispatch), or for
+     * an urgent plan unless urgentQueued(nowSec, slackSec).
      */
-    Dispatch formDecodeDispatch(int model);
+    DispatchPlan plan(bool urgent, double nowSec, double slackSec) const;
+
+    /**
+     * Plans `model`'s next decode round: the one-step decode variant
+     * at the boarders' context bucket and quantized batch, served
+     * from the per-run memo. Boarding follows options().llmBatching:
+     * Continuous boards the FIFO prefix up to the batch cap; Static
+     * boards the oldest locked batch if one is waiting, else locks a
+     * fresh one. Fatal unless `model` has decode waiters.
+     */
+    DispatchPlan planDecode(int model) const;
+
+    /**
+     * Drains exactly the planned boarders into a dispatch carrying the
+     * planned mix and signature, and bumps the epoch. Regular/Urgent
+     * boarding takes a queue's oldest requests, or under EDF the
+     * oldest plus the best-ranked rest (see QueueOrder). A decode
+     * round stamps each boarder with ridingDecodeSteps = the round's
+     * step count (0 for finished lockstep padding) and sets the
+     * dispatch's llmDecodeSteps. Fatal for a plan this controller did
+     * not make, or one made at another epoch (so also for a plan
+     * already committed).
+     */
+    Dispatch commit(DispatchPlan&& plan);
+
+    /**
+     * The queue epoch: bumped by every enqueue, enqueueDecode and
+     * commit, so an unchanged epoch means unchanged queues (the fleet
+     * skips re-planning a speculative solve on it).
+     */
+    long epoch() const { return epoch_; }
+
+    /**
+     * Decode-round mixes built so far: one per (catalog model,
+     * context bucket, batch) ever planned. A round whose key was
+     * planned before reuses the memoized mix and builds none.
+     */
+    std::size_t decodeMixBuilds() const { return decodeMixBuilds_; }
 
     const std::vector<ServedModel>& catalog() const { return catalog_; }
 
@@ -279,17 +334,14 @@ class AdmissionController
 
   private:
     /**
-     * The next decode round of one model. Its boarders are every
-     * member of Static locked batch `lockedId`, or (lockedId < 0) the
-     * queue prefix [0, count).
+     * The one-model mix of a decode round and its signature, memoized
+     * per (catalog model, context bucket, batch): both are pure
+     * functions of those keys.
      */
-    struct DecodePlan
+    struct DecodeMix
     {
-        std::int64_t lockedId = -1;
-        std::size_t count = 0;      ///< boarders
-        std::int64_t ctxBucket = 0; ///< priced context bucket
-        int steps = 1;              ///< decode steps advanced
-        int batch = 0;              ///< quantized round batch
+        Scenario mix;
+        std::string signature;
     };
     /** The (model, context bucket) half of the decode-mix memo. */
     struct DecodeStepMemo
@@ -298,27 +350,24 @@ class AdmissionController
         std::map<int, DecodeMix> byBatch; ///< one mix per round batch
     };
 
-    int dispatchBatch(std::size_t model) const;
-    /** Plans the next decode round of `model` (requires waiters). */
-    DecodePlan planDecode(std::size_t model) const;
+    /** The boarders and pricing of `model`'s next decode round. */
+    DecodePlan decodeRound(std::size_t model) const;
     /** The memoized mix for (model, ctxBucket, batch). */
     const DecodeMix& decodeMix(std::size_t model,
                                std::int64_t ctxBucket, int batch) const;
     /**
      * The scheduled model for queue `m`: the catalog model, or for
      * autoregressive entries the prefill variant at the queue's max
-     * prompt bucket (identical in peek and form, so the mix-signature
-     * handshake with the fleet holds).
+     * prompt bucket.
      */
     Model scheduledModel(std::size_t model) const;
     /** True when queue `model` holds a request urgent at nowSec. */
     bool modelUrgent(std::size_t model, double nowSec,
                      double slackSec) const;
-    /** The shared mix-building path of peekMix / peekUrgentMix. */
-    Scenario peekFrom(const std::vector<bool>& take) const;
-    /** The shared queue-draining path of formDispatch /
-     *  formUrgentDispatch. */
-    Dispatch formFrom(double nowSec, const std::vector<bool>& take);
+    /** commit()'s draining of a Regular / Urgent plan's boarders. */
+    void boardQueues(const DispatchPlan& plan, Dispatch& dispatch);
+    /** commit()'s draining of a Decode plan's boarders. */
+    void boardDecode(const DispatchPlan& plan, Dispatch& dispatch);
 
     std::vector<ServedModel> catalog_;
     AdmissionOptions options_;
@@ -327,16 +376,17 @@ class AdmissionController
     std::vector<std::deque<Request>> decodeQueues_;
     /** Next Static-mode locked-batch id (monotone, deterministic). */
     std::int64_t nextLlmBatchId_ = 0;
+    long epoch_ = 0; ///< see epoch()
     /**
      * Decode-step mixes keyed by (catalog index, context bucket):
      * buildDecodeStepModel runs once per key, and each round batch's
-     * mix and signature once per key and batch. std::map nodes never
-     * move, so peekDecodeMix can hand out references. Mutable because
-     * peeking fills it; admission is single-threaded, so no lock.
+     * mix and signature once per key and batch. Mutable because
+     * planning fills it; admission is single-threaded, so no lock.
      */
     mutable std::map<std::pair<std::size_t, std::int64_t>,
                      DecodeStepMemo>
         decodeMemo_;
+    mutable std::size_t decodeMixBuilds_ = 0; ///< see decodeMixBuilds()
 };
 
 } // namespace runtime

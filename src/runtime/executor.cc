@@ -91,7 +91,7 @@ ReplayExecutor::advance()
     tick.windowIdx = static_cast<int>(window_);
 
     // A dispatch group's model index within the mix equals its
-    // position: formDispatch builds mix.models and groups in lockstep.
+    // position: commit() fills mix.models and groups in plan order.
     for (std::size_t m = 0; m < dispatch_.groups.size(); ++m) {
         if (lastWindow(m) != static_cast<int>(window_))
             continue;

@@ -688,9 +688,8 @@ struct FleetSimulator::RunState
     ScheduleCacheStats cacheBefore; ///< cache counters at run start
     std::size_t next = 0;           ///< next arrival to admit
     double nowSec = 0.0;
-    // The speculative peek only changes when the queues do; skip the
-    // Scenario/signature rebuild on the (frequent) other events.
-    long queueEpoch = 0;
+    // The speculative plan only changes when the queues do (the
+    // admission epoch); skip re-planning on the other events.
     long lastSpeculativeEpoch = -1;
     long paddedSlots = 0;
     /** Some queued request is urgent (refreshed once per iteration:
@@ -953,23 +952,15 @@ FleetSimulator::formDecodeRound(RunState& st)
     }
     if (decodeModel < 0)
         return false;
-    // The peeked mix and its signature are memoized per (model,
-    // context bucket, batch), so routing a round rebuilds nothing.
-    const DecodeMix& peeked = st.admission.peekDecodeMix(decodeModel);
-    const int target = routeDispatch(peeked.signature, peeked.mix,
-                                     st.nowSec, /*allowDefer=*/false,
-                                     /*urgent=*/false);
+    // The round's mix and signature come from admission's per-run
+    // memo, so planning a round rebuilds nothing.
+    DispatchPlan plan = st.admission.planDecode(decodeModel);
+    const int target =
+        routeDispatch(plan.signature(), plan.mix(), st.nowSec,
+                      /*allowDefer=*/false, /*urgent=*/false);
     SCAR_ASSERT(target >= 0, "fleet: decode round found no shard with "
                              "free shards available");
-    ++st.queueEpoch;
-    Dispatch dispatch = st.admission.formDecodeDispatch(decodeModel);
-    // The signature is a pure function of the memo keys, so matching
-    // keys prove the formed mix is the routed one.
-    SCAR_ASSERT(dispatch.catalogIdx.front() == peeked.model &&
-                    dispatch.llmCtxBucket == peeked.ctxBucket &&
-                    dispatch.groups.front().batch == peeked.batch,
-                "fleet: decode dispatch mix diverged from the routed "
-                "peek");
+    Dispatch dispatch = st.admission.commit(std::move(plan));
     // Decode rounds do not add padded slots: occupancy stays a
     // prefill-batching metric, and each request would otherwise be
     // charged once per round. Decode batch fill is reported as
@@ -978,21 +969,19 @@ FleetSimulator::formDecodeRound(RunState& st)
     ++llmDecodeRounds_;
     llmBoardedSum_ +=
         static_cast<long>(dispatch.groups.front().requests.size());
-    parkDispatch(st, target, std::move(dispatch), peeked.signature,
-                 "dispatches.decode");
+    parkDispatch(st, target, std::move(dispatch), "dispatches.decode");
     return true;
 }
 
 bool
 FleetSimulator::routeReadyBatch(RunState& st)
 {
-    // Free shard + ready batch: route, then form and park a dispatch.
-    // Routing happens on the peeked mix *before* the queues are
+    // Free shard + ready batch: plan, route, then commit and park the
+    // dispatch. Routing happens on the plan *before* the queues are
     // consumed so BestFit can defer: when an occupied shard's
-    // projected completion beats every idle candidate, the batch
-    // stays queued and is re-routed at the next event (typically when
-    // the preferred shard frees up).
-    const PreemptionOptions& preemption = options_.serving.preemption;
+    // projected completion beats every idle candidate, the plan is
+    // dropped, the batch stays queued and is re-planned at the next
+    // event (typically when the preferred shard frees up).
     AdmissionController& admission = st.admission;
     const bool urgent = st.urgent;
     // Speculative partial dispatch: with the flag set, a shard that
@@ -1007,50 +996,40 @@ FleetSimulator::routeReadyBatch(RunState& st)
     // An urgent batch boards only the models holding an urgent
     // request (shortest possible fast lane) and is dispatchable
     // regardless of batch-fill / aging state.
-    const Scenario peeked =
-        urgent ? admission.peekUrgentMix(st.nowSec,
-                                         preemption.slackThresholdSec)
-               : admission.peekMix();
-    const std::string sig = peeked.signature();
+    DispatchPlan plan = admission.plan(
+        urgent, st.nowSec, options_.serving.preemption.slackThresholdSec);
     // Overflow check: padded dispatch batches cover every queued
     // request unless some queue exceeded its cap, in which case
     // requests stay behind and deferral would starve the fleet's
     // throughput.
     int batchSlots = 0;
-    for (const Model& model : peeked.models)
+    for (const Model& model : plan.mix().models)
         batchSlots += model.batch;
     // Never defer an urgent dispatch: it exists because some request
     // cannot afford to wait for a better package.
     const bool allowDefer = options_.bestFitDefer && !urgent &&
                             admission.queuedCount() <= batchSlots;
-    const int target =
-        routeDispatch(sig, peeked, st.nowSec, allowDefer, urgent);
+    const int target = routeDispatch(plan.signature(), plan.mix(),
+                                     st.nowSec, allowDefer, urgent);
     if (target < 0) {
         st.deferred = true;
         return false;
     }
-    ++st.queueEpoch;
-    Dispatch dispatch =
-        urgent ? admission.formUrgentDispatch(
-                     st.nowSec, preemption.slackThresholdSec)
-               : admission.formDispatch(st.nowSec);
-    SCAR_ASSERT(dispatch.mix.signature() == sig,
-                "fleet: dispatch mix diverged from the routed peek");
+    Dispatch dispatch = admission.commit(std::move(plan));
     for (const BatchGroup& group : dispatch.groups)
         st.paddedSlots += group.batch;
-    parkDispatch(st, target, std::move(dispatch), sig,
+    parkDispatch(st, target, std::move(dispatch),
                  urgent ? "dispatches.urgent" : "dispatches.regular");
     return true;
 }
 
 void
 FleetSimulator::parkDispatch(RunState& st, int target,
-                             Dispatch dispatch, const std::string& sig,
-                             const char* counter)
+                             Dispatch dispatch, const char* counter)
 {
     Shard& shard = shards_[target];
     const std::string key =
-        cacheKey(sig, static_cast<std::size_t>(target));
+        cacheKey(dispatch.signature, static_cast<std::size_t>(target));
     const AsyncLookup found = cache_.lookup(
         key, dispatch.mix, st.computes[target], st.nowSec,
         options_.serving.modeledSolveSec);
@@ -1076,6 +1055,7 @@ FleetSimulator::parkDispatch(RunState& st, int target,
     syncShard(static_cast<std::size_t>(target));
     shard.solveStallSec += std::max(0.0, found.readySec - st.nowSec);
     if (obs::FlightRecorder* const rec = st.rec) {
+        const std::string& sig = shard.pending.signature;
         const int tid = target + 1;
         // lookup() counts joining an in-flight solve as a hit; only a
         // lookup that launched the solve is a miss (matches
@@ -1104,35 +1084,33 @@ FleetSimulator::speculate(RunState& st)
     // the background so the search overlaps the replays. Only
     // worthwhile when solves cost virtual time — with a free
     // (modeledSolveSec = 0) solve there is no stall to hide, and
-    // speculating on transient peek mixes would just burn extra
-    // searches and distort the hit-rate counters.
+    // speculating on transient plans would just burn extra searches
+    // and distort the hit-rate counters. The plan is never committed:
+    // the dispatch re-plans the (possibly grown) queues.
     if (!options_.speculativeSolve ||
         options_.serving.modeledSolveSec <= 0.0 ||
         !(st.admission.ready(st.nowSec) || st.urgent) ||
-        st.queueEpoch == st.lastSpeculativeEpoch)
+        st.admission.epoch() == st.lastSpeculativeEpoch)
         return;
-    st.lastSpeculativeEpoch = st.queueEpoch;
+    st.lastSpeculativeEpoch = st.admission.epoch();
     // Under urgency the next dispatch out is the urgent mix, so that
     // is the schedule worth warming.
-    const Scenario peeked =
-        st.urgent ? st.admission.peekUrgentMix(
-                        st.nowSec,
-                        options_.serving.preemption.slackThresholdSec)
-                  : st.admission.peekMix();
-    const std::string peekedSig = peeked.signature();
-    const int target =
-        speculationTarget(peekedSig, peeked, st.nowSec, st.urgent);
+    const DispatchPlan plan = st.admission.plan(
+        st.urgent, st.nowSec,
+        options_.serving.preemption.slackThresholdSec);
+    const int target = speculationTarget(plan.signature(), plan.mix(),
+                                         st.nowSec, st.urgent);
     // A schedule already resident (or already solving) for the
     // predicted target makes a speculative solve pure waste: the
     // dispatch-time lookup will hit, so prefetch launches nothing.
     const bool launched = cache_.prefetch(
-        cacheKey(peekedSig, static_cast<std::size_t>(target)), peeked,
-        st.computes[target],
+        cacheKey(plan.signature(), static_cast<std::size_t>(target)),
+        plan.mix(), st.computes[target],
         st.nowSec + options_.serving.modeledSolveSec);
     if (launched && st.rec) {
         st.rec->trace().instantVirtual(
             target + 1, "speculative-solve", "cache", st.nowSec,
-            {obs::argText("mix", peekedSig)});
+            {obs::argText("mix", plan.signature())});
         st.rec->metrics().counter("solves.speculative").inc();
     }
 }
@@ -1202,7 +1180,6 @@ FleetSimulator::commitArrival(RunState& st)
         st.rec->metrics().counter("requests.arrived").inc();
     }
     ++st.next;
-    ++st.queueEpoch;
 }
 
 void
@@ -1225,7 +1202,7 @@ FleetSimulator::commitTick(RunState& st, int shardIdx, WindowTick& tick)
     // below. Empty for non-LLM catalogs, so a run without LLM entries
     // takes the pre-LLM path bit-for-bit.
     if (llmEnabled_ && !tick.completed.empty()) {
-        // A decode round carries riders stamped by formDecodeDispatch;
+        // A decode round carries riders stamped by its commit();
         // at least one is unfinished (a fully finished group retired
         // at its previous round).
         bool decodeRound = false;
@@ -1274,7 +1251,6 @@ FleetSimulator::commitTick(RunState& st, int shardIdx, WindowTick& tick)
             }
             req.completionSec = -1.0;
             st.admission.enqueueDecode(req);
-            ++st.queueEpoch;
         }
         tick.completed = std::move(retiring);
     }
@@ -1321,7 +1297,7 @@ FleetSimulator::quietIntervalBound(const RunState& st,
     if (options_.speculativeSolve &&
         options_.serving.modeledSolveSec > 0.0 &&
         admission.queuedCount() > 0 &&
-        st.queueEpoch != st.lastSpeculativeEpoch)
+        admission.epoch() != st.lastSpeculativeEpoch)
         bound = std::min(bound, admission.nextForcedDispatchSec());
     // Preemption-aware term: the next urgency crossing, on the same
     // FP expression as the urgency timer — unconditioned on candidate
@@ -1354,10 +1330,10 @@ FleetSimulator::quietIntervalBound(const RunState& st,
                                sh.executor.windowsPerStep()));
         } else {
             // Prefill/mixed replay: an autoregressive group completing
-            // mid-replay enqueues decode waiters (commitTick bumps the
-            // decode queue and the queue epoch — a routing-decision
-            // source), so the bound stops strictly before the earliest
-            // such completion.
+            // mid-replay enqueues decode waiters (commitTick's
+            // enqueueDecode bumps the admission epoch — a
+            // routing-decision source), so the bound stops strictly
+            // before the earliest such completion.
             bound = std::min(
                 bound, sh.executor.earliestGroupEndSec(
                            [&](std::size_t m) {
@@ -1381,9 +1357,9 @@ FleetSimulator::drainQuietInterval(RunState& st, const NextEvent& ev)
     //    lands at its final boundary >= B), so the candidate set is
     //    frozen and no dispatch forms before the timer or an
     //    arrival, both >= B;
-    //  - speculate() already ran on the current queue epoch, or the
-    //    speculation term caps B at the forced-dispatch instant where
-    //    ready() could newly turn true;
+    //  - speculate() already ran at the current admission epoch, or
+    //    the speculation term caps B at the forced-dispatch instant
+    //    where ready() could newly turn true;
     //  - under preemption, B <= the next urgency crossing U: for every
     //    tick t < U the per-tick urgency predicate (t >= deadline -
     //    slack, the same FP expression as U) is false bit-for-bit, so
@@ -1545,7 +1521,6 @@ FleetSimulator::boundaryTick(RunState& st, int shardIdx)
                     ++riders;
                 }
             }
-            ++st.queueEpoch;
             if (rec) {
                 rec->trace().instantVirtual(
                     shardIdx + 1, "decode-join", "llm", tick.timeSec,

@@ -8,14 +8,17 @@
  *
  * Event loop (one virtual clock across the fleet):
  *  - arrivals enqueue into the shared admission controller;
- *  - when a batch is ready and a shard is free, the dispatch forms
- *    and consults the fleet's AsyncScheduleCache under that shard's
- *    (mix, package) key: a ready schedule starts replaying
- *    immediately (plus a modeled weight re-staging overhead when the
- *    shard switches mixes); an unsolved mix starts
- *    a background solve and the shard waits until the solve's
- *    *virtual* ready instant — that wait is the reported solve-stall
- *    time;
+ *  - when a batch is ready and a shard is free, admission plans the
+ *    dispatch (AdmissionController::plan or planDecode: mix and
+ *    signature, built once), the router picks a shard on the
+ *    plan's signature, and only then does commit() drain the
+ *    planned boarders; the committed dispatch consults the fleet's
+ *    AsyncScheduleCache under that shard's (mix, package) key: a
+ *    ready schedule starts replaying immediately (plus a modeled
+ *    weight re-staging overhead when the shard switches mixes); an
+ *    unsolved mix starts a background solve and the shard waits
+ *    until the solve's *virtual* ready instant — that wait is the
+ *    reported solve-stall time;
  *  - when a batch is ready but every shard is busy, the would-be
  *    mix's solve is started speculatively in the background for the
  *    shard the dispatch is predicted to land on, so the search
@@ -510,15 +513,19 @@ class FleetSimulator
     bool resumeIdleSuspended(RunState& st);
     /** Step 1: start parked dispatches whose schedule is due. */
     bool startDueParked(RunState& st);
-    /** Step 1.5: form and park a decode round on a free shard. */
+    /** Step 1.5: plan a decode round, route it on the plan's
+     *  signature, then commit and park it on a free shard. */
     bool formDecodeRound(RunState& st);
-    /** Step 2: route, form and park a ready batch (or defer it). */
+    /** Step 2: plan a ready batch, route it on the plan's signature,
+     *  then commit and park it (or drop the plan to defer). */
     bool routeReadyBatch(RunState& st);
-    /** Looks up the dispatch's schedule on the target shard and
-     *  parks it there until the schedule's virtual ready instant. */
+    /** Looks up the dispatch's schedule on the target shard under
+     *  dispatch.signature and parks it there until the schedule's
+     *  virtual ready instant. */
     void parkDispatch(RunState& st, int target, Dispatch dispatch,
-                      const std::string& sig, const char* counter);
-    /** Step 3: warm the would-be mix while every shard is busy. */
+                      const char* counter);
+    /** Step 3: warm the planned mix while every shard is busy (the
+     *  plan is never committed; once per admission epoch). */
     void speculate(RunState& st);
     /** Step 4: the candidate instants of the next event. */
     NextEvent pickNextEvent(const RunState& st) const;

@@ -565,7 +565,8 @@ TEST(Admission, EdfBoardsOldestThenAgedBeforeFreshTightDeadlines)
 
     const double nowSec = 0.057;
     ASSERT_TRUE(admission.ready(nowSec));
-    Dispatch dispatch = admission.formDispatch(nowSec);
+    Dispatch dispatch =
+        admission.commit(admission.plan(false, nowSec, 0.0));
     ASSERT_EQ(dispatch.groups.size(), 1u);
     ASSERT_EQ(dispatch.groups[0].requests.size(), 2u);
     // Slot 1: the oldest request, despite the loosest deadline.
@@ -574,7 +575,8 @@ TEST(Admission, EdfBoardsOldestThenAgedBeforeFreshTightDeadlines)
     EXPECT_EQ(dispatch.groups[0].requests[1].id, 1);
     // The fresh pair stays queued, in arrival order.
     EXPECT_EQ(admission.queuedCount(), 2);
-    Dispatch rest = admission.formDispatch(nowSec);
+    Dispatch rest =
+        admission.commit(admission.plan(false, nowSec, 0.0));
     ASSERT_EQ(rest.groups[0].requests.size(), 2u);
     EXPECT_EQ(rest.groups[0].requests[0].id, 2);
     EXPECT_EQ(rest.groups[0].requests[1].id, 3);

@@ -3,13 +3,19 @@
  * Tests for autoregressive (LLM) serving: the prefill/decode workload
  * builders and their KV-cache footprint, the admission decode queue
  * (boarding, buckets, round planning, the decode-step mix memo),
- * index replay of one-step schedules against the old tiling,
+ * the plan/commit handshake of every dispatch kind (and its refusal
+ * of stale or reused plans), index replay of one-step schedules
+ * against the old tiling,
  * continuous-batching joins and per-sequence retirement at the fleet
  * level, the byte-identical disabled path, determinism across worker
  * pools, and the speculative partial-dispatch admission flag.
  */
 
 #include <gtest/gtest.h>
+
+#include <limits>
+#include <set>
+#include <utility>
 
 #include "arch/mcm_templates.h"
 #include "common/error.h"
@@ -300,6 +306,7 @@ TEST(Admission, DecodeStepMemoMatchesFreshBuild)
         AdmissionOptions options;
         options.quantizeBatches = quantize;
         AdmissionController admission(catalog, options);
+        std::set<std::pair<std::int64_t, int>> memoKeys;
         std::int64_t id = 0;
         // Two passes, so the second revisits every memo entry.
         for (int pass = 0; pass < 2; ++pass) {
@@ -311,38 +318,50 @@ TEST(Admission, DecodeStepMemoMatchesFreshBuild)
                     for (int r = 0; r < riders; ++r)
                         admission.enqueueDecode(
                             decodeWaiter(id++, prompt, 64));
-                    const DecodeMix& peeked = admission.peekDecodeMix(0);
-                    EXPECT_EQ(peeked.model, 0);
-                    EXPECT_EQ(peeked.ctxBucket,
+                    DispatchPlan plan = admission.planDecode(0);
+                    EXPECT_EQ(plan.catalogIdx(), std::vector<int>{0});
+                    const DecodePlan& round = plan.decode();
+                    EXPECT_EQ(round.ctxBucket,
                               llmLengthBucket(prompt + 1, 256));
-                    EXPECT_EQ(peeked.batch,
+                    EXPECT_EQ(round.batch,
                               quantize && riders == 3 ? 4 : riders);
+                    // One mix build per (bucket, batch) ever planned.
+                    memoKeys.emplace(round.ctxBucket, round.batch);
+                    EXPECT_EQ(admission.decodeMixBuilds(),
+                              memoKeys.size());
                     Scenario fresh;
                     fresh.name = "mix";
                     fresh.models = {
-                        buildDecodeStepModel(cfg, peeked.ctxBucket)};
-                    fresh.models[0].batch = peeked.batch;
-                    EXPECT_EQ(peeked.mix.name, fresh.name);
-                    ASSERT_EQ(peeked.mix.numModels(), 1);
-                    expectSameModel(peeked.mix.models[0],
+                        buildDecodeStepModel(cfg, round.ctxBucket)};
+                    fresh.models[0].batch = round.batch;
+                    EXPECT_EQ(plan.mix().name, fresh.name);
+                    ASSERT_EQ(plan.mix().numModels(), 1);
+                    expectSameModel(plan.mix().models[0],
                                     fresh.models[0]);
-                    EXPECT_EQ(peeked.signature, fresh.signature());
-                    EXPECT_EQ(peeked.mix.signature(), fresh.signature());
-                    // A repeated peek is a memo hit: the same entry.
-                    EXPECT_EQ(&admission.peekDecodeMix(0), &peeked);
+                    EXPECT_EQ(plan.signature(), fresh.signature());
+                    EXPECT_EQ(plan.mix().signature(), fresh.signature());
+                    // A repeated plan is a memo hit: it builds nothing.
+                    const DispatchPlan again = admission.planDecode(0);
+                    EXPECT_EQ(admission.decodeMixBuilds(),
+                              memoKeys.size());
+                    EXPECT_EQ(again.signature(), plan.signature());
+                    ASSERT_EQ(again.mix().numModels(), 1);
+                    expectSameModel(again.mix().models[0],
+                                    plan.mix().models[0]);
 
-                    // The formed round is the peeked one.
+                    // The committed round is the planned one.
+                    const int plannedBatch = round.batch;
                     const Dispatch dispatch =
-                        admission.formDecodeDispatch(0);
-                    EXPECT_EQ(dispatch.catalogIdx.front(), peeked.model);
-                    EXPECT_EQ(dispatch.llmCtxBucket, peeked.ctxBucket);
+                        admission.commit(std::move(plan));
+                    EXPECT_EQ(dispatch.catalogIdx.front(), 0);
                     EXPECT_EQ(dispatch.groups.front().batch,
-                              peeked.batch);
+                              plannedBatch);
                     ASSERT_EQ(dispatch.mix.numModels(), 1);
                     expectSameModel(dispatch.mix.models[0],
-                                    peeked.mix.models[0]);
+                                    fresh.models[0]);
+                    EXPECT_EQ(dispatch.signature, fresh.signature());
                     EXPECT_EQ(dispatch.mix.signature(),
-                              peeked.signature);
+                              fresh.signature());
                     EXPECT_EQ(admission.decodeQueuedCount(0), 0);
                 }
             }
@@ -363,12 +382,13 @@ TEST(Admission, DecodeQueueBoardsAndPlansRounds)
 
     // Context bucket: max context = 30 + 1 -> 256; partial batch of 3
     // quantizes up to 4.
-    const Scenario& mix = admission.peekDecodeMix(0).mix;
+    DispatchPlan plan = admission.planDecode(0);
+    const Scenario mix = plan.mix();
     ASSERT_EQ(mix.numModels(), 1);
     EXPECT_EQ(mix.models[0].name, "chat.decode256");
     EXPECT_EQ(mix.models[0].batch, 4);
 
-    Dispatch dispatch = admission.formDecodeDispatch(0);
+    Dispatch dispatch = admission.commit(std::move(plan));
     EXPECT_EQ(dispatch.mix.signature(), mix.signature());
     // Steps: min over riders' remaining tokens (5-1 = 4), under the
     // 32-step cap and far from the 256 bucket edge.
@@ -378,6 +398,225 @@ TEST(Admission, DecodeQueueBoardsAndPlansRounds)
     for (const Request& req : dispatch.groups[0].requests)
         EXPECT_EQ(req.ridingDecodeSteps, 4);
     EXPECT_EQ(admission.decodeQueuedCount(), 0);
+}
+
+constexpr double kNoDeadline = std::numeric_limits<double>::infinity();
+
+/** A queued (pre-prefill) request for enqueue(). */
+Request
+queuedRequest(std::int64_t id, int model, double arrival,
+              double deadline = kNoDeadline, int prompt = 0)
+{
+    Request req;
+    req.id = id;
+    req.modelIdx = model;
+    req.arrivalSec = arrival;
+    req.deadlineSec = deadline;
+    req.promptTokens = prompt;
+    req.outputTokens = prompt > 0 ? 8 : 0;
+    return req;
+}
+
+/** One plan/commit handshake: the queues, the plan, and what the
+ *  committed dispatch must carry. */
+struct CommitCase
+{
+    std::string name;
+    std::vector<ServedModel> catalog;
+    AdmissionOptions options;
+    std::vector<Request> queued;       ///< enqueue()d
+    std::vector<Request> decodeQueued; ///< enqueueDecode()d (model 0)
+    DispatchKind kind = DispatchKind::Regular;
+    double nowSec = 0.0;
+    double slackSec = 0.0;
+    std::vector<std::string> models;    ///< planned mix, in order
+    std::vector<std::int64_t> boarders; ///< committed ids, group order
+};
+
+std::vector<CommitCase>
+commitCases()
+{
+    std::vector<CommitCase> cases;
+    std::vector<ServedModel> vision(2);
+    vision[0].model = zoo::eyeCod(4);
+    vision[1].model = zoo::handSP(2);
+    const std::string eye = vision[0].model.name;
+    const std::string hand = vision[1].model.name;
+    auto start = [](std::string name, std::vector<ServedModel> catalog) {
+        CommitCase c;
+        c.name = std::move(name);
+        c.catalog = std::move(catalog);
+        return c;
+    };
+    {
+        // FIFO: a full eyeCod batch boards its four oldest; the
+        // partial handSP queue joins the mix.
+        CommitCase c = start("fifo", vision);
+        for (int i = 0; i < 5; ++i)
+            c.queued.push_back(queuedRequest(i, 0, 0.001 * i));
+        c.queued.push_back(queuedRequest(5, 1, 0.002));
+        c.nowSec = 0.005;
+        c.models = {eye, hand};
+        c.boarders = {0, 1, 2, 3, 5};
+        cases.push_back(c);
+    }
+    {
+        // EDF overflow: the oldest boards, then the aged request
+        // beats the fresh tight deadlines
+        // (EdfBoardsOldestThenAgedBeforeFreshTightDeadlines' queue).
+        CommitCase c = start("edf-overflow", {vision[1]});
+        c.options.order = QueueOrder::EarliestDeadline;
+        c.queued = {queuedRequest(0, 0, 0.000, 100.0),
+                    queuedRequest(1, 0, 0.005, 90.0),
+                    queuedRequest(2, 0, 0.055, 0.10),
+                    queuedRequest(3, 0, 0.056, 0.11)};
+        c.nowSec = 0.057;
+        c.models = {hand};
+        c.boarders = {0, 1};
+        cases.push_back(c);
+    }
+    {
+        // Urgent-only: the loose eyeCod request stays queued.
+        CommitCase c = start("urgent-only", vision);
+        c.queued = {queuedRequest(0, 0, 0.0, 10.0),
+                    queuedRequest(1, 1, 0.0, 0.05)};
+        c.kind = DispatchKind::Urgent;
+        c.nowSec = 0.031;
+        c.slackSec = 0.02;
+        c.models = {hand};
+        c.boarders = {1};
+        cases.push_back(c);
+    }
+    {
+        // LLM prefill: three aged prompts, the longest (100 tokens)
+        // sets the 128 bucket; 3 riders pad to a batch of 4.
+        CommitCase c = start("llm-prefill", llmCatalog(4));
+        c.queued = {queuedRequest(0, 0, 0.0, kNoDeadline, 10),
+                    queuedRequest(1, 0, 0.0, kNoDeadline, 100),
+                    queuedRequest(2, 0, 0.0, kNoDeadline, 30)};
+        c.nowSec = 0.06;
+        c.models = {"chat.prefill128"};
+        c.boarders = {0, 1, 2};
+        cases.push_back(c);
+    }
+    {
+        // Continuous decode: the FIFO prefix up to the batch cap.
+        CommitCase c = start("continuous-decode", llmCatalog(2));
+        c.decodeQueued = {decodeWaiter(0, 10, 5), decodeWaiter(1, 300, 9),
+                          decodeWaiter(2, 20, 60)};
+        c.kind = DispatchKind::Decode;
+        c.models = {"chat.decode512"};
+        c.boarders = {0, 1};
+        cases.push_back(c);
+    }
+    {
+        // Static decode: the waiting locked batch outranks the fresh
+        // waiter ahead of it.
+        CommitCase c = start("static-locked-decode", llmCatalog(4));
+        c.options.llmBatching = LlmBatchingMode::Static;
+        c.decodeQueued = {decodeWaiter(0, 10, 5), decodeWaiter(1, 20, 9),
+                          decodeWaiter(2, 30, 60)};
+        c.decodeQueued[1].llmBatchId = 7;
+        c.decodeQueued[2].llmBatchId = 7;
+        c.kind = DispatchKind::Decode;
+        c.models = {"chat.decode256"};
+        c.boarders = {1, 2};
+        cases.push_back(c);
+    }
+    return cases;
+}
+
+TEST(Admission, CommitTakesThePlannedDispatch)
+{
+    for (const CommitCase& c : commitCases()) {
+        SCOPED_TRACE(c.name);
+        AdmissionController admission(c.catalog, c.options);
+        for (const Request& req : c.queued)
+            admission.enqueue(req);
+        for (const Request& req : c.decodeQueued)
+            admission.enqueueDecode(req);
+        const int waiting =
+            admission.queuedCount() + admission.decodeQueuedCount();
+        DispatchPlan plan =
+            c.kind == DispatchKind::Decode
+                ? admission.planDecode(0)
+                : admission.plan(c.kind == DispatchKind::Urgent,
+                                 c.nowSec, c.slackSec);
+        EXPECT_EQ(plan.kind(), c.kind);
+        std::vector<std::string> names;
+        for (const Model& model : plan.mix().models)
+            names.push_back(model.name);
+        EXPECT_EQ(names, c.models);
+        const std::string planned = plan.signature();
+        EXPECT_EQ(planned, plan.mix().signature());
+        EXPECT_EQ(admission.queuedCount() + admission.decodeQueuedCount(),
+                  waiting)
+            << "planning consumes nothing";
+
+        const Dispatch dispatch = admission.commit(std::move(plan));
+        EXPECT_EQ(dispatch.signature, planned);
+        EXPECT_EQ(dispatch.mix.signature(), planned);
+        ASSERT_EQ(dispatch.groups.size(), dispatch.mix.models.size());
+        std::vector<std::int64_t> boarders;
+        for (std::size_t g = 0; g < dispatch.groups.size(); ++g) {
+            EXPECT_EQ(dispatch.groups[g].catalogIdx,
+                      dispatch.catalogIdx[g]);
+            EXPECT_EQ(dispatch.groups[g].batch,
+                      dispatch.mix.models[g].batch);
+            for (const Request& req : dispatch.groups[g].requests)
+                boarders.push_back(req.id);
+        }
+        EXPECT_EQ(boarders, c.boarders);
+        EXPECT_EQ(admission.queuedCount() + admission.decodeQueuedCount(),
+                  waiting - static_cast<int>(boarders.size()));
+        EXPECT_EQ(dispatch.llmDecodeSteps > 0,
+                  c.kind == DispatchKind::Decode);
+    }
+
+    // A plan is valid only on its controller, at the epoch it was
+    // made at, and only once.
+    const auto catalog = llmCatalog(4);
+    AdmissionController admission(catalog);
+    admission.enqueue(queuedRequest(0, 0, 0.0, kNoDeadline, 10));
+    DispatchPlan stale = admission.plan(false, 1.0, 0.0);
+    admission.enqueue(queuedRequest(1, 0, 0.0, kNoDeadline, 10));
+    EXPECT_THROW(admission.commit(std::move(stale)), FatalError)
+        << "an enqueue after planning";
+    EXPECT_EQ(admission.queuedCount(), 2) << "a refused commit drains "
+                                             "nothing";
+
+    DispatchPlan plan = admission.plan(false, 1.0, 0.0);
+    const DispatchPlan copy = plan;
+    EXPECT_EQ(admission.commit(std::move(plan)).groups[0].requests.size(),
+              2u);
+    EXPECT_THROW(admission.commit(std::move(plan)), FatalError)
+        << "the same plan twice";
+    EXPECT_THROW(admission.commit(DispatchPlan(copy)), FatalError)
+        << "a copy of a committed plan";
+    EXPECT_THROW(admission.commit(DispatchPlan{}), FatalError);
+
+    admission.enqueueDecode(decodeWaiter(2, 10, 5));
+    DispatchPlan round = admission.planDecode(0);
+    admission.enqueueDecode(decodeWaiter(3, 10, 5));
+    EXPECT_THROW(admission.commit(std::move(round)), FatalError)
+        << "an enqueueDecode after planning";
+
+    // A twin controller at the same epoch, with the same queues,
+    // still refuses the other's plan.
+    AdmissionController left(catalog);
+    AdmissionController right(catalog);
+    left.enqueue(queuedRequest(4, 0, 0.0, kNoDeadline, 10));
+    right.enqueue(queuedRequest(4, 0, 0.0, kNoDeadline, 10));
+    ASSERT_EQ(left.epoch(), right.epoch());
+    EXPECT_THROW(right.commit(left.plan(false, 1.0, 0.0)), FatalError)
+        << "another controller's plan";
+    EXPECT_EQ(right.queuedCount(), 1);
+
+    // Each kind's precondition is checked when planning.
+    AdmissionController idle(catalog);
+    EXPECT_THROW(idle.plan(false, 0.0, 0.0), FatalError);
+    EXPECT_THROW(idle.plan(true, 0.0, 0.01), FatalError);
+    EXPECT_THROW(idle.planDecode(0), FatalError);
 }
 
 TEST(Admission, DecodeEnqueueRequiresPrefill)

@@ -3,10 +3,11 @@
  * Tests for the fleet event loop's scale machinery: the quiet-interval
  * drain (a differential check of every observable artifact — report,
  * trace, metrics, samples — against the per-tick path on plain,
- * saturated, preemptive, LLM continuous/static, join-cut, and mixed
- * LLM + vision fleets), the ulp-exact boundary probes its bound keys
- * on, BestFit's routing-quality counters on a fleet whose packages
- * hold several shards (shared quotes), and the single-lock
+ * saturated, EDF with partial dispatch, preemptive, LLM
+ * continuous/static, join-cut, and mixed LLM + vision fleets), the
+ * ulp-exact boundary probes its bound keys on, BestFit's
+ * routing-quality counters on a fleet whose packages hold several
+ * shards (shared quotes), and the single-lock
  * AsyncScheduleCache (exactly one solve per key under concurrent
  * callers).
  */
@@ -198,6 +199,36 @@ TEST(QuietIntervalDrain, MatchesPerTickAcrossUrgencyCrossings)
     const ServingReport report = expectDrainMatchesPerTick(
         options, catalog, poissonTrace(catalog, 300, 29));
     EXPECT_GT(report.preemptions, 0);
+}
+
+TEST(QuietIntervalDrain, MatchesPerTickWithEdfAndPartialDispatch)
+{
+    // EDF boarding under overload and partial dispatch onto every
+    // idle shard both change which plan a dispatch commits; the drain
+    // must still reproduce the per-tick routing decisions.
+    auto catalog = twoModelCatalog();
+    for (ServedModel& sm : catalog)
+        sm.rateRps *= 2.5;
+    FleetOptions options = hetFleetOptions();
+    options.serving.admission.order = QueueOrder::EarliestDeadline;
+    options.serving.admission.speculativePartialDispatch = true;
+    auto trace = poissonTrace(catalog, 400, 23);
+    // Every third request is interactive: a deadline tighter than its
+    // model's SLO, so one queue holds deadlines EDF can reorder.
+    for (std::size_t i = 0; i < trace.size(); i += 3)
+        trace[i].deadlineSec = trace[i].arrivalSec + 0.01;
+    const ServingReport report =
+        expectDrainMatchesPerTick(options, catalog, trace);
+    EXPECT_EQ(report.completed, 400);
+    // Each option must matter on this trace, or the case covers less
+    // than it claims.
+    FleetOptions fifo = options;
+    fifo.serving.admission.order = QueueOrder::FifoArrival;
+    FleetOptions timed = options;
+    timed.serving.admission.speculativePartialDispatch = false;
+    const std::string edfRun = runFleet(options, catalog, trace).report;
+    EXPECT_NE(runFleet(fifo, catalog, trace).report, edfRun);
+    EXPECT_NE(runFleet(timed, catalog, trace).report, edfRun);
 }
 
 /** A long multi-window handSP replay and a lone eyeCod request that

@@ -169,11 +169,11 @@ TEST(Admission, UrgentDispatchBoardsOnlyUrgentModels)
     EXPECT_FALSE(admission.urgentQueued(0.029, 0.02));
     EXPECT_TRUE(admission.urgentQueued(0.031, 0.02));
 
-    const Scenario urgentMix = admission.peekUrgentMix(0.031, 0.02);
-    ASSERT_EQ(urgentMix.numModels(), 1);
-    EXPECT_EQ(urgentMix.models[0].name, catalog[1].model.name);
+    DispatchPlan plan = admission.plan(/*urgent=*/true, 0.031, 0.02);
+    ASSERT_EQ(plan.mix().numModels(), 1);
+    EXPECT_EQ(plan.mix().models[0].name, catalog[1].model.name);
 
-    Dispatch dispatch = admission.formUrgentDispatch(0.031, 0.02);
+    Dispatch dispatch = admission.commit(std::move(plan));
     ASSERT_EQ(dispatch.groups.size(), 1u);
     EXPECT_EQ(dispatch.catalogIdx[0], 1);
     // The datacenter request stays queued, still aging toward its

@@ -179,7 +179,8 @@ TEST(Admission, FullBatchTriggersDispatch)
     admission.enqueue(req);
     EXPECT_TRUE(admission.ready(0.003)) << "4 queued = a full batch";
 
-    Dispatch dispatch = admission.formDispatch(0.003);
+    Dispatch dispatch =
+        admission.commit(admission.plan(false, 0.003, 0.0));
     ASSERT_EQ(dispatch.groups.size(), 1u);
     EXPECT_EQ(dispatch.groups[0].batch, 4);
     EXPECT_EQ(dispatch.groups[0].requests.size(), 4u);
@@ -211,7 +212,8 @@ TEST(Admission, TimeoutForcesQuantizedPartialBatch)
     EXPECT_TRUE(admission.ready(admission.nextForcedDispatchSec()))
         << "ready() must agree with the timer instant";
 
-    Dispatch dispatch = admission.formDispatch(0.01);
+    Dispatch dispatch =
+        admission.commit(admission.plan(false, 0.01, 0.0));
     // Both queued models join the mix; 3 requests over 2 models.
     ASSERT_EQ(dispatch.groups.size(), 2u);
     EXPECT_EQ(dispatch.groups[0].batch, 2); // 2 queued -> pow2 = 2
